@@ -48,6 +48,17 @@ bool AbsReg::isSubsetOf(const AbsReg &Q) const {
   return Val.isSubsetOf(Q.Val);
 }
 
+AbsReg AbsReg::widenWith(const AbsReg &Joined) const {
+  if (Joined.isSubsetOf(*this))
+    return *this;
+  AbsReg Widened = joinWith(Joined);
+  if (!Widened.isUsable())
+    return Widened;
+  if (Widened.isScalar())
+    return makeScalar(RegValue::makeTop());
+  return makePointer(Widened.kind(), RegValue::makeTop());
+}
+
 std::string AbsReg::toString() const {
   if (!isUsable())
     return regKindName(Kind);
@@ -93,6 +104,47 @@ bool AbstractState::isSubsetOf(const AbstractState &Q) const {
     if (!Slots[I].isSubsetOf(Q.Slots[I]))
       return false;
   return true;
+}
+
+bool AbstractState::joinFrom(const StateDelta &From, unsigned &JoinCount,
+                             unsigned WideningThreshold) {
+  const AbstractState &Base = From.base();
+  if (!Base.Reachable)
+    return false;
+  if (!Reachable) {
+    // Unreachable is the identity (and is never widened): take From whole.
+    ++JoinCount;
+    Reachable = true;
+    for (unsigned I = 0; I != NumRegs; ++I)
+      Regs[I] = From.reg(I);
+    Slots = Base.Slots;
+    return true;
+  }
+  // The join counts once, at the first register that does not fit; the
+  // registers before it fit, so joining or widening would keep them.
+  bool Grew = false;
+  bool Widen = false;
+  bool Changed = false;
+  auto JoinOne = [&](AbsReg &Old, const AbsReg &New) {
+    if (New.isSubsetOf(Old))
+      return;
+    if (!Grew) {
+      Grew = true;
+      Widen = ++JoinCount > WideningThreshold;
+    }
+    AbsReg Joined = Old.joinWith(New);
+    if (Widen)
+      Joined = Old.widenWith(Joined);
+    if (Joined == Old)
+      return;
+    Old = std::move(Joined);
+    Changed = true;
+  };
+  for (unsigned I = 0; I != NumRegs; ++I)
+    JoinOne(Regs[I], From.reg(I));
+  for (unsigned I = 0; I != NumStackSlots; ++I)
+    JoinOne(Slots[I], Base.Slots[I]);
+  return Changed;
 }
 
 std::string AbstractState::toString() const {

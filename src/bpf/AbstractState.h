@@ -80,6 +80,11 @@ public:
   /// Partial order consistent with joinWith.
   bool isSubsetOf(const AbsReg &Q) const;
 
+  /// The analyzer's widening of this (older) value by \p Joined (this ∨ a
+  /// new value): this value if \p Joined adds nothing, else the top of the
+  /// joined kind, so ascending chains stay finite.
+  AbsReg widenWith(const AbsReg &Joined) const;
+
   std::string toString() const;
 
   friend bool operator==(const AbsReg &A, const AbsReg &B) {
@@ -98,6 +103,40 @@ private:
 
   RegKind Kind;
   RegValue Val;
+};
+
+struct AbstractState;
+
+/// A successor state given as its predecessor with at most two registers
+/// replaced: what every non-store transfer (the destination) and branch
+/// refinement (both operands) produces, so the successor never has to be
+/// copied out of the predecessor. The base state must outlive the delta.
+class StateDelta {
+public:
+  explicit StateDelta(const AbstractState &BaseV) : Base(BaseV) {}
+
+  /// Replaces register \p Reg; setting the same register again overrides.
+  void set(unsigned Reg, AbsReg Value) {
+    unsigned Index = 0;
+    while (Index != NumSet && SetReg[Index] != Reg)
+      ++Index;
+    assert(Index != SetReg.size() && "more than two replaced registers");
+    if (Index == NumSet)
+      ++NumSet;
+    SetReg[Index] = Reg;
+    SetValue[Index] = std::move(Value);
+  }
+
+  const AbstractState &base() const { return Base; }
+
+  /// Register \p Reg of the successor state.
+  const AbsReg &reg(unsigned Reg) const;
+
+private:
+  const AbstractState &Base;
+  unsigned NumSet = 0;
+  std::array<unsigned, 2> SetReg = {};
+  std::array<AbsReg, 2> SetValue;
 };
 
 /// The full abstract machine state at one program point. Unreachable
@@ -134,6 +173,19 @@ struct AbstractState {
   /// Pointwise order; unreachable below everything.
   bool isSubsetOf(const AbstractState &Q) const;
 
+  /// The analyzer's propagation step, fused into one in-place pass: joins
+  /// \p From into this state, skipping every register \p From already
+  /// fits under. If some register does not fit, \p JoinCount is
+  /// incremented once; when it then exceeds \p WideningThreshold and
+  /// this state was reachable, every grown register is widened
+  /// (AbsReg::widenWith). Returns true if this state changed.
+  ///
+  /// Equal, by operator==, to the whole-state reference: return false if
+  /// From is a subset; else J = joinWith(From), widen each register of J
+  /// against this state past the threshold, and assign J if it differs.
+  bool joinFrom(const StateDelta &From, unsigned &JoinCount,
+                unsigned WideningThreshold);
+
   std::string toString() const;
 
   friend bool operator==(const AbstractState &A, const AbstractState &B) {
@@ -147,6 +199,13 @@ struct AbstractState {
     return !(A == B);
   }
 };
+
+inline const AbsReg &StateDelta::reg(unsigned Reg) const {
+  for (unsigned Index = 0; Index != NumSet; ++Index)
+    if (SetReg[Index] == Reg)
+      return SetValue[Index];
+  return Base.Regs[Reg];
+}
 
 } // namespace bpf
 } // namespace tnums

@@ -28,6 +28,10 @@ struct AnalyzerMetrics {
   Counter InsnVisits{"tnums_analyzer_insn_visits_total"};
   Counter Revisits{"tnums_analyzer_worklist_revisits_total"};
   Counter NotConverged{"tnums_analyzer_nonconverged_total"};
+  /// Propagations that grew their target state, and those of them that
+  /// were widened (past the widening threshold).
+  Counter Joins{"tnums_analyzer_joins_total"};
+  Counter Widenings{"tnums_analyzer_widenings_total"};
   Counter TransferLoadImm{"tnums_analyzer_transfer_total", "op=\"loadimm\""};
   Counter TransferLoad{"tnums_analyzer_transfer_total", "op=\"load\""};
   Counter TransferStore{"tnums_analyzer_transfer_total", "op=\"store\""};
@@ -203,10 +207,9 @@ void Analyzer::storeToStack(size_t Pc, AbstractState &Out, const AbsReg &Base,
   }
 }
 
-AbstractState Analyzer::transfer(size_t Pc, const AbstractState &In,
-                                 AnalysisResult &Result) {
+AbsReg Analyzer::transfer(size_t Pc, const AbstractState &In,
+                          AnalysisResult &Result) {
   const Insn &I = Prog->insn(Pc);
-  AbstractState Out = In;
 
   if (metricsEnabled()) {
     AnalyzerMetrics &M = analyzerMetrics();
@@ -220,9 +223,6 @@ AbstractState Analyzer::transfer(size_t Pc, const AbstractState &In,
     case Insn::Kind::Load:
       M.TransferLoad.add();
       break;
-    case Insn::Kind::Store:
-      M.TransferStore.add();
-      break;
     default:
       break;
     }
@@ -230,9 +230,8 @@ AbstractState Analyzer::transfer(size_t Pc, const AbstractState &In,
 
   switch (I.InsnKind) {
   case Insn::Kind::LoadImm:
-    Out.Regs[I.Dst] =
-        AbsReg::makeScalar(RegValue::makeConstant(static_cast<uint64_t>(I.Imm)));
-    break;
+    return AbsReg::makeScalar(
+        RegValue::makeConstant(static_cast<uint64_t>(I.Imm)));
 
   case Insn::Kind::Alu: {
     if (I.Alu == AluOp::Neg) {
@@ -240,14 +239,12 @@ AbstractState Analyzer::transfer(size_t Pc, const AbstractState &In,
       if (!Dst.isScalar()) {
         report(Result, Pc, formatString("neg of %s register r%u",
                                         regKindName(Dst.kind()), I.Dst));
-        Out.Regs[I.Dst] = AbsReg::makeInvalid();
-        break;
+        return AbsReg::makeInvalid();
       }
       RegValue Zero = RegValue::makeConstant(0);
-      Out.Regs[I.Dst] = AbsReg::makeScalar(
+      return AbsReg::makeScalar(
           I.Is32 ? applyBinary32(BinaryOp::Sub, Zero, Dst.value())
                  : applyBinary(BinaryOp::Sub, Zero, Dst.value()));
-      break;
     }
 
     AbsReg Rhs = I.UsesImm ? AbsReg::makeScalar(RegValue::makeConstant(
@@ -257,8 +254,7 @@ AbstractState Analyzer::transfer(size_t Pc, const AbstractState &In,
       if (!Rhs.isUsable()) {
         report(Result, Pc, formatString("mov from %s register r%u",
                                         regKindName(Rhs.kind()), I.Src));
-        Out.Regs[I.Dst] = AbsReg::makeInvalid();
-        break;
+        return AbsReg::makeInvalid();
       }
       if (I.Is32) {
         // A 32-bit mov truncates and zero-extends; truncating a pointer
@@ -267,15 +263,12 @@ AbstractState Analyzer::transfer(size_t Pc, const AbstractState &In,
         if (!Rhs.isScalar()) {
           report(Result, Pc, formatString("32-bit mov of %s register",
                                           regKindName(Rhs.kind())));
-          Out.Regs[I.Dst] = AbsReg::makeInvalid();
-          break;
+          return AbsReg::makeInvalid();
         }
-        Out.Regs[I.Dst] =
-            AbsReg::makeScalar(zeroExtendSubreg(truncateToSubreg(Rhs.value())));
-        break;
+        return AbsReg::makeScalar(
+            zeroExtendSubreg(truncateToSubreg(Rhs.value())));
       }
-      Out.Regs[I.Dst] = Rhs;
-      break;
+      return Rhs;
     }
 
     const AbsReg &Lhs = In.Regs[I.Dst];
@@ -284,8 +277,7 @@ AbstractState Analyzer::transfer(size_t Pc, const AbstractState &In,
              formatString("%s uses %s register", aluOpName(I.Alu),
                           regKindName(Lhs.isUsable() ? Rhs.kind()
                                                      : Lhs.kind())));
-      Out.Regs[I.Dst] = AbsReg::makeInvalid();
-      break;
+      return AbsReg::makeInvalid();
     }
 
     if (I.Is32 && !(Lhs.isScalar() && Rhs.isScalar())) {
@@ -293,43 +285,34 @@ AbstractState Analyzer::transfer(size_t Pc, const AbstractState &In,
              formatString("32-bit %s on %s and %s registers",
                           aluOpName(I.Alu), regKindName(Lhs.kind()),
                           regKindName(Rhs.kind())));
-      Out.Regs[I.Dst] = AbsReg::makeInvalid();
-      break;
+      return AbsReg::makeInvalid();
     }
 
     if (Lhs.isScalar() && Rhs.isScalar()) {
       BinaryOp Op = aluOpToBinaryOp(I.Alu);
-      Out.Regs[I.Dst] = AbsReg::makeScalar(
+      return AbsReg::makeScalar(
           I.Is32 ? applyBinary32(Op, Lhs.value(), Rhs.value())
                  : applyBinary(Op, Lhs.value(), Rhs.value()));
-      break;
     }
 
     // Pointer arithmetic: only ptr ± scalar (and scalar + ptr) keep a
     // usable pointer, as in the kernel.
     if (I.Alu == AluOp::Add) {
-      if (Lhs.isPointer() && Rhs.isScalar()) {
-        Out.Regs[I.Dst] = AbsReg::makePointer(
+      if (Lhs.isPointer() && Rhs.isScalar())
+        return AbsReg::makePointer(
             Lhs.kind(), applyBinary(BinaryOp::Add, Lhs.value(), Rhs.value()));
-        break;
-      }
-      if (Lhs.isScalar() && Rhs.isPointer()) {
-        Out.Regs[I.Dst] = AbsReg::makePointer(
+      if (Lhs.isScalar() && Rhs.isPointer())
+        return AbsReg::makePointer(
             Rhs.kind(), applyBinary(BinaryOp::Add, Lhs.value(), Rhs.value()));
-        break;
-      }
     }
-    if (I.Alu == AluOp::Sub && Lhs.isPointer() && Rhs.isScalar()) {
-      Out.Regs[I.Dst] = AbsReg::makePointer(
+    if (I.Alu == AluOp::Sub && Lhs.isPointer() && Rhs.isScalar())
+      return AbsReg::makePointer(
           Lhs.kind(), applyBinary(BinaryOp::Sub, Lhs.value(), Rhs.value()));
-      break;
-    }
     report(Result, Pc,
            formatString("forbidden pointer arithmetic: %s on %s and %s",
                         aluOpName(I.Alu), regKindName(Lhs.kind()),
                         regKindName(Rhs.kind())));
-    Out.Regs[I.Dst] = AbsReg::makeInvalid();
-    break;
+    return AbsReg::makeInvalid();
   }
 
   case Insn::Kind::Load: {
@@ -337,62 +320,71 @@ AbstractState Analyzer::transfer(size_t Pc, const AbstractState &In,
     if (!Base.isPointer()) {
       report(Result, Pc, formatString("load via %s register r%u",
                                       regKindName(Base.kind()), I.Src));
-      Out.Regs[I.Dst] = AbsReg::makeInvalid();
-      break;
+      return AbsReg::makeInvalid();
     }
     std::string Error = checkMemoryAccess(Base, I.Offset, I.Size);
     if (!Error.empty()) {
       report(Result, Pc, Error);
-      Out.Regs[I.Dst] = AbsReg::makeInvalid();
-      break;
+      return AbsReg::makeInvalid();
     }
-    if (Base.kind() == RegKind::PtrToStack) {
-      Out.Regs[I.Dst] = loadFromStack(Pc, In, Base, I, Result);
-      break;
-    }
+    if (Base.kind() == RegKind::PtrToStack)
+      return loadFromStack(Pc, In, Base, I, Result);
     // Context bytes are arbitrary: a fresh scalar bounded by the access
     // size.
-    Out.Regs[I.Dst] = AbsReg::makeScalar(
+    return AbsReg::makeScalar(
         RegValue::fromUnsignedRange(0, lowBitsMask(I.Size * 8)));
-    break;
   }
 
-  case Insn::Kind::Store: {
-    const AbsReg &Base = In.Regs[I.Dst];
-    if (!Base.isPointer()) {
-      report(Result, Pc, formatString("store via %s register r%u",
-                                      regKindName(Base.kind()), I.Dst));
-      break;
-    }
-    std::string Error = checkMemoryAccess(Base, I.Offset, I.Size);
-    if (!Error.empty()) {
-      report(Result, Pc, Error);
-      break;
-    }
-    AbsReg Stored = I.UsesImm
-                        ? AbsReg::makeScalar(RegValue::makeConstant(
-                              static_cast<uint64_t>(I.Imm)))
-                        : In.Regs[I.Src];
-    if (Base.kind() == RegKind::PtrToStack) {
-      storeToStack(Pc, Out, Base, I, Stored, Result);
-      break;
-    }
-    // Stores into the context region: scalars only (writing a pointer
-    // would leak a kernel address to the program's peer).
-    if (!Stored.isScalar())
-      report(Result, Pc,
-             formatString("store of %s register to context memory "
-                          "(pointer leak)",
-                          regKindName(Stored.kind())));
-    break;
-  }
-
+  case Insn::Kind::Store:
   case Insn::Kind::Jmp:
   case Insn::Kind::Ja:
   case Insn::Kind::Exit:
-    assert(false && "control flow handled by the driver loop");
     break;
   }
+  assert(false && "stores and control flow are handled by run()");
+  return AbsReg::makeInvalid();
+}
+
+const AbstractState &Analyzer::transferStore(size_t Pc,
+                                             const AbstractState &In,
+                                             AnalysisResult &Result) {
+  const Insn &I = Prog->insn(Pc);
+  analyzerMetrics().TransferStore.add();
+  const AbsReg &Base = In.Regs[I.Dst];
+  if (!Base.isPointer()) {
+    report(Result, Pc, formatString("store via %s register r%u",
+                                    regKindName(Base.kind()), I.Dst));
+    return In;
+  }
+  std::string Error = checkMemoryAccess(Base, I.Offset, I.Size);
+  if (!Error.empty()) {
+    report(Result, Pc, Error);
+    return In;
+  }
+  AbsReg Stored = I.UsesImm ? AbsReg::makeScalar(RegValue::makeConstant(
+                                  static_cast<uint64_t>(I.Imm)))
+                            : In.Regs[I.Src];
+  if (Base.kind() == RegKind::PtrToStack) {
+    StoreScratch = In;
+    storeToStack(Pc, StoreScratch, Base, I, Stored, Result);
+    return StoreScratch;
+  }
+  // Stores into the context region: scalars only (writing a pointer
+  // would leak a kernel address to the program's peer).
+  if (!Stored.isScalar())
+    report(Result, Pc,
+           formatString("store of %s register to context memory "
+                        "(pointer leak)",
+                        regKindName(Stored.kind())));
+  return In;
+}
+
+std::vector<AbstractState> Analyzer::inStates() const {
+  std::vector<AbstractState> Out;
+  Out.reserve(NumPoints);
+  for (size_t Pc = 0; Pc != NumPoints; ++Pc)
+    Out.push_back(States[Pc].Reachable ? States[Pc]
+                                       : AbstractState::makeUnreachable());
   return Out;
 }
 
@@ -403,8 +395,12 @@ AnalysisResult Analyzer::run() {
 
   AnalysisResult Result;
   size_t N = Prog->size();
-  Result.InStates.assign(N, AbstractState::makeUnreachable());
-  Result.InStates[0] = AbstractState::makeEntry(Opts.MemSize);
+  NumPoints = N;
+  if (States.size() < N)
+    States.resize(N);
+  for (size_t Pc = 0; Pc != N; ++Pc)
+    States[Pc].Reachable = false;
+  States[0] = AbstractState::makeEntry(Opts.MemSize);
 
   JoinCounts.assign(N, 0);
 
@@ -443,38 +439,19 @@ AnalysisResult Analyzer::run() {
     }
   };
 
-  /// Widening: any register still growing after the threshold jumps to the
-  /// top of its kind so chains stay finite.
-  auto WidenReg = [](const AbsReg &Old, const AbsReg &New) {
-    if (New.isSubsetOf(Old))
-      return Old;
-    AbsReg Joined = Old.joinWith(New);
-    if (!Joined.isUsable())
-      return Joined;
-    if (Joined.isScalar())
-      return AbsReg::makeScalar(RegValue::makeTop());
-    return AbsReg::makePointer(Joined.kind(), RegValue::makeTop());
-  };
-
-  auto Propagate = [&](size_t Target, const AbstractState &State) {
-    if (!State.Reachable)
+  // Joins the successor state into the target's in place (widening past
+  // the threshold) and queues the target if it grew. The join and
+  // widening tallies reach the metrics once per analysis.
+  uint64_t Joins = 0;
+  uint64_t Widenings = 0;
+  auto Propagate = [&](size_t Target, const StateDelta &State) {
+    AbstractState &Slot = States[Target];
+    bool WasReachable = Slot.Reachable;
+    if (!Slot.joinFrom(State, JoinCounts[Target], Opts.WideningThreshold))
       return;
-    AbstractState &Slot = Result.InStates[Target];
-    if (State.isSubsetOf(Slot))
-      return;
-    AbstractState Joined = Slot.joinWith(State);
-    if (++JoinCounts[Target] > Opts.WideningThreshold && Slot.Reachable) {
-      AbstractState Widened = Joined;
-      for (unsigned R = 0; R != NumRegs; ++R)
-        Widened.Regs[R] = WidenReg(Slot.Regs[R], Joined.Regs[R]);
-      for (unsigned SlotIdx = 0; SlotIdx != NumStackSlots; ++SlotIdx)
-        Widened.Slots[SlotIdx] =
-            WidenReg(Slot.Slots[SlotIdx], Joined.Slots[SlotIdx]);
-      Joined = Widened;
-    }
-    if (Joined == Slot)
-      return;
-    Slot = Joined;
+    ++Joins;
+    if (WasReachable && JoinCounts[Target] > Opts.WideningThreshold)
+      ++Widenings;
     Push(Target);
   };
 
@@ -498,7 +475,7 @@ AnalysisResult Analyzer::run() {
         Popped[ScanFrom] = 1;
     }
 
-    const AbstractState &In = Result.InStates[Pc];
+    const AbstractState &In = States[Pc];
     if (!In.Reachable)
       continue;
     const Insn &I = Prog->insn(Pc);
@@ -515,7 +492,7 @@ AnalysisResult Analyzer::run() {
     }
     case Insn::Kind::Ja:
       Metrics.TransferJa.add();
-      Propagate(Program::jumpTarget(Pc, I), In);
+      Propagate(Program::jumpTarget(Pc, I), StateDelta(In));
       break;
     case Insn::Kind::Jmp: {
       Metrics.TransferJmp.add();
@@ -531,7 +508,7 @@ AnalysisResult Analyzer::run() {
       for (bool Taken : {false, true}) {
         size_t Target = Taken ? Program::jumpTarget(Pc, I) : Pc + 1;
         if (!Refinable) {
-          Propagate(Target, In);
+          Propagate(Target, StateDelta(In));
           continue;
         }
         RegValue LV = Lhs.value();
@@ -542,18 +519,26 @@ AnalysisResult Analyzer::run() {
           refineByComparison(I.Cmp, Taken, LV, RV);
         if (LV.isBottom() || RV.isBottom())
           continue; // This branch direction is infeasible.
-        AbstractState Refined = In;
-        Refined.Regs[I.Dst] = AbsReg::makeScalar(LV);
+        StateDelta Refined(In);
+        Refined.set(I.Dst, AbsReg::makeScalar(LV));
         if (!I.UsesImm)
-          Refined.Regs[I.Src] = AbsReg::makeScalar(RV);
+          Refined.set(I.Src, AbsReg::makeScalar(RV));
         Propagate(Target, Refined);
       }
       break;
     }
-    default:
-      Propagate(Pc + 1, transfer(Pc, In, Result));
+    case Insn::Kind::Store:
+      Propagate(Pc + 1, StateDelta(transferStore(Pc, In, Result)));
+      break;
+    default: {
+      StateDelta Out(In);
+      Out.set(I.Dst, transfer(Pc, In, Result));
+      Propagate(Pc + 1, Out);
       break;
     }
+    }
   }
+  Metrics.Joins.add(Joins);
+  Metrics.Widenings.add(Widenings);
   return Result;
 }

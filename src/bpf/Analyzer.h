@@ -52,8 +52,6 @@ struct AnalysisResult {
   /// program as rejected).
   bool Converged = true;
   std::vector<Violation> Violations;
-  /// Abstract state *before* each instruction (the fixpoint solution).
-  std::vector<AbstractState> InStates;
   /// Total instruction-transfer evaluations performed.
   uint64_t InsnVisits = 0;
 
@@ -77,9 +75,10 @@ public:
 
   /// An unbound engine for analyzing a stream of programs via
   /// analyze(Prog, Opts). Construct once per worker and reuse: the CFG
-  /// edge storage and the fixpoint worklist scratch are recycled across
-  /// programs, which is the per-worker amortization the batch service
-  /// (service/VerificationService.h) relies on.
+  /// edge storage, the fixpoint worklist scratch and the per-point state
+  /// table are recycled across programs, which is the per-worker
+  /// amortization the batch service (service/VerificationService.h)
+  /// relies on.
   Analyzer() = default;
 
   /// Runs the fixpoint on the program bound at construction.
@@ -89,11 +88,22 @@ public:
   /// and runs the fixpoint, recycling internal storage.
   AnalysisResult analyze(const Program &Prog, const Options &Opts);
 
+  /// The abstract state *before* each instruction of the last analyzed
+  /// program (the fixpoint solution), copied out of the engine's table;
+  /// unreachable points come back as AbstractState::makeUnreachable().
+  std::vector<AbstractState> inStates() const;
+
 private:
-  /// Applies the straight-line transfer of instruction \p Pc, recording
-  /// violations into \p Result.
-  AbstractState transfer(size_t Pc, const AbstractState &In,
-                         AnalysisResult &Result);
+  /// Applies the transfer of load-immediate, ALU or load instruction
+  /// \p Pc, recording violations into \p Result. Returns the new value of
+  /// its destination register, the only register it changes.
+  AbsReg transfer(size_t Pc, const AbstractState &In, AnalysisResult &Result);
+
+  /// Applies store instruction \p Pc. Returns its successor state: \p In
+  /// itself unless the store writes a stack slot, in which case a copy
+  /// in StoreScratch.
+  const AbstractState &transferStore(size_t Pc, const AbstractState &In,
+                                     AnalysisResult &Result);
 
   /// Records one deduplicated violation.
   void report(AnalysisResult &Result, size_t Pc, std::string Message);
@@ -123,6 +133,13 @@ private:
 
   /// \name Fixpoint scratch, recycled across analyze() calls.
   /// @{
+  /// The state before each instruction. Only the first NumPoints entries
+  /// belong to the bound program; the table never shrinks, and a point
+  /// is reset by clearing Reachable (an unreachable state's registers
+  /// are never read).
+  std::vector<AbstractState> States;
+  size_t NumPoints = 0;
+  AbstractState StoreScratch;
   std::vector<unsigned> JoinCounts;
   /// Instruction index -> position in the CFG's reverse post-order
   /// (SIZE_MAX for CFG-unreachable instructions).

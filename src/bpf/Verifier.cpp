@@ -25,7 +25,7 @@ VerifierReport tnums::bpf::verifyProgram(const Program &Prog,
   AnalysisResult Result = A.analyze();
   Report.Accepted = Result.accepted();
   Report.Violations = std::move(Result.Violations);
-  Report.InStates = std::move(Result.InStates);
+  Report.InStates = A.inStates();
   return Report;
 }
 

@@ -21,18 +21,24 @@ RegValue::RegValue(Tnum T, Interval U, SignedRange S, unsigned WidthV)
   sync();
 }
 
+RegValue::RegValue(Tnum T, Interval U, SignedRange S, unsigned WidthV,
+                   bool BottomV)
+    : TnumPart(T), UnsignedPart(U), SignedPart(S), Width(WidthV),
+      Bottom(BottomV) {
+  assert(Width >= 1 && Width <= MaxBitWidth && "width out of range");
+}
+
+// Top, bottom and constants are already in normal form, so their
+// factories skip sync(); tests/AnalyzerEngineTest.cpp checks that sync()
+// leaves each of them unchanged.
 RegValue RegValue::makeTop(unsigned Width) {
   return RegValue(Tnum::makeUnknown(Width), Interval::makeTop(Width),
-                  SignedRange::makeTop(Width), Width);
+                  SignedRange::makeTop(Width), Width, /*BottomV=*/false);
 }
 
 RegValue RegValue::makeBottom(unsigned Width) {
-  RegValue V = makeTop(Width);
-  V.TnumPart = Tnum::makeBottom();
-  V.UnsignedPart = Interval::makeBottom();
-  V.SignedPart = SignedRange::makeBottom();
-  V.Bottom = true;
-  return V;
+  return RegValue(Tnum::makeBottom(), Interval::makeBottom(),
+                  SignedRange::makeBottom(), Width, /*BottomV=*/true);
 }
 
 RegValue RegValue::makeConstant(uint64_t C, unsigned Width) {
@@ -40,7 +46,7 @@ RegValue RegValue::makeConstant(uint64_t C, unsigned Width) {
   return RegValue(Tnum::makeConstant(Truncated),
                   Interval::makeConstant(Truncated),
                   SignedRange::makeConstant(signExtend(Truncated, Width)),
-                  Width);
+                  Width, /*BottomV=*/false);
 }
 
 RegValue RegValue::fromTnum(Tnum T, unsigned Width) {

@@ -91,13 +91,18 @@ public:
   friend RegValue tnums::applyBinary(BinaryOp Op, const RegValue &L,
                                      const RegValue &R);
 
+  /// Propagates information between the three components to a local
+  /// fixpoint (the kernel's reg_bounds_sync), collapsing to bottom on
+  /// contradiction. Every factory and operation already returns synced
+  /// values, so this is a no-op on any RegValue a caller can hold.
+  void sync();
+
 private:
   RegValue(Tnum T, Interval U, SignedRange S, unsigned WidthV);
 
-  /// Propagates information between the three components to a local
-  /// fixpoint (the kernel's reg_bounds_sync), collapsing to bottom on
-  /// contradiction.
-  void sync();
+  /// Stores components already in normal form -- the canonical bottom,
+  /// or mutually reduced so that sync() would change nothing -- as is.
+  RegValue(Tnum T, Interval U, SignedRange S, unsigned WidthV, bool BottomV);
 
   /// Folds tnum-derived bounds into the interval and vice versa; one
   /// reduction round. Returns true if anything changed.

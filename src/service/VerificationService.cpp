@@ -8,7 +8,6 @@
 #include "service/VerificationService.h"
 
 #include "support/Atomic.h"
-#include "support/Checkpoint.h"
 #include "support/ChunkSchedule.h"
 #include "support/Table.h"
 
@@ -34,28 +33,31 @@ namespace {
 // wrong verdict.
 //===----------------------------------------------------------------------===//
 
-/// Canonical digest of everything that can influence a verdict: the
-/// per-instruction fields (field-wise, not memcpy, so struct padding
-/// never leaks in) plus the context size and analyzer knobs.
+/// In-memory digest of everything that can influence a verdict: the
+/// per-instruction fields (packed field-wise, not memcpy, so struct
+/// padding never leaks in) plus the context size and analyzer knobs.
+/// It mixes whole words, one multiply per word; it is never persisted,
+/// and sameRequest confirms every bucket hit.
 uint64_t hashRequest(const VerifyRequest &Request) {
-  Fnv1a Hash;
-  Hash.mixU64(Request.MemSize);
-  Hash.mixU64(Request.AnalyzerOpts.WideningThreshold);
-  Hash.mixU64(Request.AnalyzerOpts.MaxInsnVisits);
-  Hash.mixU64(Request.Prog.size());
+  uint64_t Hash = 0x9E3779B97F4A7C15ull;
+  auto Mix = [&Hash](uint64_t Word) {
+    Hash = (Hash ^ Word) * 0xBF58476D1CE4E5B9ull;
+    Hash ^= Hash >> 31;
+  };
+  Mix(Request.MemSize);
+  Mix(Request.AnalyzerOpts.WideningThreshold);
+  Mix(Request.AnalyzerOpts.MaxInsnVisits);
+  Mix(Request.Prog.size());
   for (const Insn &I : Request.Prog) {
-    Hash.mixU64(static_cast<uint64_t>(I.InsnKind));
-    Hash.mixU64(static_cast<uint64_t>(I.Alu));
-    Hash.mixU64(static_cast<uint64_t>(I.Cmp));
-    Hash.mixU64(I.Dst);
-    Hash.mixU64(I.Src);
-    Hash.mixU64(I.UsesImm ? 1 : 0);
-    Hash.mixU64(static_cast<uint64_t>(I.Imm));
-    Hash.mixU64(static_cast<uint64_t>(static_cast<int64_t>(I.Offset)));
-    Hash.mixU64(I.Size);
-    Hash.mixU64(I.Is32 ? 1 : 0);
+    Mix(static_cast<uint64_t>(I.InsnKind) |
+        static_cast<uint64_t>(I.Alu) << 8 |
+        static_cast<uint64_t>(I.Cmp) << 16 | uint64_t(I.Dst) << 24 |
+        uint64_t(I.Src) << 32 | uint64_t(I.UsesImm) << 40 |
+        uint64_t(I.Size) << 48 | uint64_t(I.Is32) << 56);
+    Mix(static_cast<uint64_t>(I.Imm));
+    Mix(static_cast<uint32_t>(I.Offset));
   }
-  return Hash.digest();
+  return Hash;
 }
 
 bool sameInsn(const Insn &A, const Insn &B) {
@@ -118,7 +120,7 @@ void tnums::service::verifyRequestInto(const VerifyRequest &Request,
   Out.Violations = std::move(Result.Violations);
   Out.InsnVisits = Result.InsnVisits;
   if (KeepStates)
-    Out.InStates = std::move(Result.InStates);
+    Out.InStates = Engine.inStates();
 }
 
 std::string BatchStats::toString() const {

@@ -11,7 +11,6 @@
 #include "support/Table.h"
 
 #include <algorithm>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -29,6 +28,13 @@ namespace {
 /// take MetricsHistogramBuckets + 2 (count + sum). The process registers a
 /// few hundred slots; exhausting the budget is a programming error.
 constexpr uint32_t MaxShardSlots = 4096;
+
+/// Registration budgets. The record paths index the metric definitions
+/// and gauge cells without the lock while another thread may be
+/// registering, so neither table may ever move: both are sized once, and
+/// exhausting them is a programming error like exhausting the slots.
+constexpr uint32_t MaxMetricDefs = 1024;
+constexpr uint32_t MaxGauges = 256;
 
 struct Shard {
   std::atomic<uint64_t> Slots[MaxShardSlots] = {};
@@ -57,7 +63,10 @@ void raisePeak(std::atomic<int64_t> &Peak, int64_t Value) {
 } // namespace
 
 struct MetricsRegistry::ImplT {
+  ImplT() { Defs.reserve(MaxMetricDefs); }
+
   mutable std::mutex Mutex;
+  /// Capacity reserved up front; never reallocates (see MaxMetricDefs).
   std::vector<MetricDef> Defs;
   std::map<std::string, uint32_t> ByKey;
   uint32_t NextSlot = 0;
@@ -65,8 +74,9 @@ struct MetricsRegistry::ImplT {
   std::vector<std::unique_ptr<Shard>> Shards;
   /// Shards whose owning thread exited, available for rebinding.
   std::vector<Shard *> FreeShards;
-  /// deque: gauge cells must keep stable addresses across growth.
-  std::deque<GaugeCell> Gauges;
+  /// Fixed array: gauge cells must keep stable addresses (MaxGauges).
+  std::unique_ptr<GaugeCell[]> Gauges{new GaugeCell[MaxGauges]};
+  uint32_t NumGauges = 0;
 };
 
 namespace {
@@ -152,13 +162,18 @@ static uint32_t registerDef(MetricsRegistry::ImplT &Impl, MetricKind Kind,
   if (It != Impl.ByKey.end())
     return It->second;
 
+  if (Impl.Defs.size() == MaxMetricDefs ||
+      (Kind == MetricKind::Gauge && Impl.NumGauges == MaxGauges)) {
+    fprintf(stderr, "metrics: registration budget exhausted registering %s\n",
+            Name.c_str());
+    abort();
+  }
   MetricDef Def;
   Def.Name = Name;
   Def.Labels = Labels;
   Def.Kind = Kind;
   if (Kind == MetricKind::Gauge) {
-    Def.GaugeIndex = static_cast<uint32_t>(Impl.Gauges.size());
-    Impl.Gauges.emplace_back();
+    Def.GaugeIndex = Impl.NumGauges++;
   } else {
     uint32_t Needed =
         Kind == MetricKind::Histogram ? MetricsHistogramBuckets + 2 : 1;
@@ -271,9 +286,9 @@ void MetricsRegistry::resetForTest() {
   for (const auto &S : Impl->Shards)
     for (uint32_t I = 0; I < MaxShardSlots; ++I)
       S->Slots[I].store(0, std::memory_order_relaxed);
-  for (GaugeCell &Cell : Impl->Gauges) {
-    Cell.Value.store(0, std::memory_order_relaxed);
-    Cell.Peak.store(0, std::memory_order_relaxed);
+  for (uint32_t I = 0; I != Impl->NumGauges; ++I) {
+    Impl->Gauges[I].Value.store(0, std::memory_order_relaxed);
+    Impl->Gauges[I].Peak.store(0, std::memory_order_relaxed);
   }
 }
 

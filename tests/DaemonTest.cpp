@@ -203,7 +203,9 @@ TEST(Daemon, ConcurrentClientsBitIdenticalToInProcess) {
 
     constexpr unsigned NumClients = 5;
     std::vector<BatchResult> Batches(NumClients);
-    std::vector<bool> Oks(NumClients, false);
+    // One byte per client: std::vector<bool> packs the flags into shared
+    // words, so concurrent writes from the client threads would race.
+    std::vector<uint8_t> Oks(NumClients, 0);
     {
       std::vector<std::thread> Clients;
       for (unsigned Index = 0; Index != NumClients; ++Index) {

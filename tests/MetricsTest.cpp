@@ -10,11 +10,15 @@
 /// buckets split exactly at powers of two, merged snapshots are exact and
 /// deterministic under multi-threaded recording, the disabled recorder
 /// touches nothing (no shards ever materialize), gauges track peaks, and
-/// the Prometheus/JSON renderings round-trip the counts.
+/// the Prometheus/JSON renderings round-trip the counts. The analyzer's
+/// deterministic work counters are pinned exactly on a fixed program set.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "support/Metrics.h"
+
+#include "bpf/Analyzer.h"
+#include "bpf/Builder.h"
 #include "support/Trace.h"
 
 #include <gtest/gtest.h>
@@ -271,6 +275,56 @@ TEST_F(MetricsTest, JsonLineBuilderEscapes) {
                       "\"ok\":true,\"secs\":1.500000}"),
             0u);
   EXPECT_EQ(jsonEscape("a\nb\\c"), "a\\nb\\\\c");
+}
+
+/// The analyzer's deterministic work counters on a fixed program set: a
+/// straight-line program, a guarded access whose branches merge, and two
+/// counting loops, one of which runs past the widening threshold. The
+/// values are exact: any change to them is a change in fixpoint work.
+TEST_F(MetricsTest, AnalyzerJoinAndWideningCountsAreExact) {
+  using namespace tnums::bpf;
+  std::vector<Program> Programs{
+      ProgramBuilder().movImm(R0, 0).aluImm(AluOp::Add, R0, 1).exit().build(),
+      ProgramBuilder()
+          .load(R3, R1, 0, 1)
+          .movImm(R0, 0)
+          .jmpImm(CompareOp::Gt, R3, 8, "done")
+          .alu(AluOp::Add, R3, R1)
+          .load(R0, R3, 0, 8)
+          .label("done")
+          .exit()
+          .build(),
+      ProgramBuilder()
+          .movImm(R0, 0)
+          .label("head")
+          .aluImm(AluOp::Add, R0, 1)
+          .jmpImm(CompareOp::Lt, R0, 3, "head")
+          .exit()
+          .build(),
+      ProgramBuilder()
+          .movImm(R0, 0)
+          .label("head")
+          .aluImm(AluOp::Add, R0, 1)
+          .jmpImm(CompareOp::Lt, R0, 100, "head")
+          .exit()
+          .build()};
+
+  enableProcessMetrics();
+  uint64_t Visits = 0;
+  for (const Program &P : Programs) {
+    Analyzer Engine(P, Analyzer::Options{16, 8, 1 << 20});
+    Visits += Engine.analyze().InsnVisits;
+  }
+  MetricsSnapshot Snap = MetricsRegistry::instance().snapshot();
+  auto Count = [&Snap](const char *Name) {
+    const MetricValue *V = Snap.find(Name);
+    return V ? V->Count : ~uint64_t(0);
+  };
+  EXPECT_EQ(Count("tnums_analyzer_analyses_total"), 4u);
+  EXPECT_EQ(Count("tnums_analyzer_insn_visits_total"), Visits);
+  EXPECT_EQ(Visits, 37u);
+  EXPECT_EQ(Count("tnums_analyzer_joins_total"), 34u);
+  EXPECT_EQ(Count("tnums_analyzer_widenings_total"), 2u);
 }
 
 } // namespace
