@@ -9,6 +9,8 @@
 
 #include "support/Table.h"
 
+#include <bit>
+
 using namespace tnums;
 using namespace tnums::bpf;
 
@@ -67,16 +69,56 @@ std::string AbsReg::toString() const {
   return formatString("%s+%s", regKindName(Kind), Val.toString().c_str());
 }
 
+/// Calls \p Fn with the index of every set bit of \p Mask, lowest first.
+template <typename FnT> static void forEachBit(uint64_t Mask, FnT Fn) {
+  for (; Mask != 0; Mask &= Mask - 1)
+    Fn(static_cast<unsigned>(std::countr_zero(Mask)));
+}
+
+/// True if \p Pred holds for the index of every set bit of \p Mask;
+/// stops at the first bit where it fails.
+template <typename PredT> static bool allBits(uint64_t Mask, PredT Pred) {
+  for (; Mask != 0; Mask &= Mask - 1)
+    if (!Pred(static_cast<unsigned>(std::countr_zero(Mask))))
+      return false;
+  return true;
+}
+
+AbstractState &AbstractState::operator=(const AbstractState &Q) {
+  Reachable = Q.Reachable;
+  Regs = Q.Regs;
+  assignSlots(Q);
+  return *this;
+}
+
+void AbstractState::assignSlots(const AbstractState &Q) {
+  forEachBit(LiveSlots & ~Q.LiveSlots,
+             [&](unsigned I) { Slots[I] = AbsReg::makeUninit(); });
+  forEachBit(Q.LiveSlots, [&](unsigned I) { Slots[I] = Q.Slots[I]; });
+  LiveSlots = Q.LiveSlots;
+}
+
 AbstractState AbstractState::makeEntry(uint64_t MemSize) {
   AbstractState State;
-  State.Reachable = true;
-  State.Regs[R1] =
-      AbsReg::makePointer(RegKind::PtrToMem, RegValue::makeConstant(0));
-  State.Regs[R2] = AbsReg::makeScalar(RegValue::makeConstant(MemSize));
-  State.Regs[R10] =
-      AbsReg::makePointer(RegKind::PtrToStack, RegValue::makeConstant(0));
+  State.assignEntry(MemSize);
   return State;
 }
+
+void AbstractState::assignEntry(uint64_t MemSize) {
+  Reachable = true;
+  Regs.fill(AbsReg::makeUninit());
+  Regs[R1] =
+      AbsReg::makePointer(RegKind::PtrToMem, RegValue::makeConstant(0));
+  Regs[R2] = AbsReg::makeScalar(RegValue::makeConstant(MemSize));
+  Regs[R10] =
+      AbsReg::makePointer(RegKind::PtrToStack, RegValue::makeConstant(0));
+  forEachBit(LiveSlots, [&](unsigned I) { Slots[I] = AbsReg::makeUninit(); });
+  LiveSlots = 0;
+}
+
+// Where neither side has slot i live, both hold Uninit, which every
+// whole-state operation below passes over: Uninit ∨ Uninit = Uninit,
+// Uninit ⊑ Uninit, and Uninit == Uninit.
 
 AbstractState AbstractState::joinWith(const AbstractState &Q) const {
   if (!Reachable)
@@ -87,8 +129,9 @@ AbstractState AbstractState::joinWith(const AbstractState &Q) const {
   Out.Reachable = true;
   for (unsigned I = 0; I != NumRegs; ++I)
     Out.Regs[I] = Regs[I].joinWith(Q.Regs[I]);
-  for (unsigned I = 0; I != NumStackSlots; ++I)
-    Out.Slots[I] = Slots[I].joinWith(Q.Slots[I]);
+  forEachBit(LiveSlots | Q.LiveSlots, [&](unsigned I) {
+    Out.setSlot(I, Slots[I].joinWith(Q.Slots[I]));
+  });
   return Out;
 }
 
@@ -100,10 +143,9 @@ bool AbstractState::isSubsetOf(const AbstractState &Q) const {
   for (unsigned I = 0; I != NumRegs; ++I)
     if (!Regs[I].isSubsetOf(Q.Regs[I]))
       return false;
-  for (unsigned I = 0; I != NumStackSlots; ++I)
-    if (!Slots[I].isSubsetOf(Q.Slots[I]))
-      return false;
-  return true;
+  return allBits(LiveSlots | Q.LiveSlots, [&](unsigned I) {
+    return Slots[I].isSubsetOf(Q.Slots[I]);
+  });
 }
 
 bool AbstractState::joinFrom(const StateDelta &From, unsigned &JoinCount,
@@ -117,7 +159,7 @@ bool AbstractState::joinFrom(const StateDelta &From, unsigned &JoinCount,
     Reachable = true;
     for (unsigned I = 0; I != NumRegs; ++I)
       Regs[I] = From.reg(I);
-    Slots = Base.Slots;
+    assignSlots(Base);
     return true;
   }
   // The join counts once, at the first register that does not fit; the
@@ -142,9 +184,23 @@ bool AbstractState::joinFrom(const StateDelta &From, unsigned &JoinCount,
   };
   for (unsigned I = 0; I != NumRegs; ++I)
     JoinOne(Regs[I], From.reg(I));
-  for (unsigned I = 0; I != NumStackSlots; ++I)
-    JoinOne(Slots[I], Base.Slots[I]);
+  // A slot live on either side stays live: only Uninit ∨ Uninit is
+  // Uninit, and widening never returns Uninit either.
+  forEachBit(LiveSlots | Base.LiveSlots,
+             [&](unsigned I) { JoinOne(Slots[I], Base.Slots[I]); });
+  LiveSlots |= Base.LiveSlots;
   return Changed;
+}
+
+bool tnums::bpf::operator==(const AbstractState &A, const AbstractState &B) {
+  if (A.Reachable != B.Reachable)
+    return false;
+  if (!A.Reachable)
+    return true;
+  if (A.Regs != B.Regs || A.LiveSlots != B.LiveSlots)
+    return false;
+  return allBits(A.LiveSlots,
+                 [&](unsigned I) { return A.Slots[I] == B.Slots[I]; });
 }
 
 std::string AbstractState::toString() const {
@@ -157,11 +213,9 @@ std::string AbstractState::toString() const {
     Text += formatString("%sr%u=%s", Text.empty() ? "" : " ", I,
                          Regs[I].toString().c_str());
   }
-  for (unsigned I = 0; I != NumStackSlots; ++I) {
-    if (Slots[I].kind() == RegKind::Uninit)
-      continue;
+  forEachBit(LiveSlots, [&](unsigned I) {
     Text += formatString("%sfp-%u=%s", Text.empty() ? "" : " ", 8 * (I + 1),
                          Slots[I].toString().c_str());
-  }
+  });
   return Text.empty() ? "<no live regs>" : Text;
 }

@@ -147,10 +147,40 @@ private:
 /// AbsReg: Uninit = never written, Invalid = corrupted spill, Scalar and
 /// PtrTo* = precisely tracked 8-byte spills or "misc" byte data
 /// (Scalar top).
+///
+/// Most slots are Uninit in most states, so the state keeps a LiveSlots
+/// mask -- bit i is set exactly when slot i is not Uninit -- and every
+/// whole-state operation (join, order, equality, copy-assignment, dump)
+/// visits only the slots in the mask. Slots are therefore written only
+/// through setSlot(), which keeps the mask right.
 struct AbstractState {
+  static_assert(NumStackSlots <= 64, "LiveSlots is one 64-bit mask");
+
   bool Reachable = false;
   std::array<AbsReg, NumRegs> Regs;
-  std::array<AbsReg, NumStackSlots> Slots;
+
+  AbstractState() = default;
+  AbstractState(const AbstractState &) = default;
+
+  /// Copies the registers and the live slots of \p Q, and resets the
+  /// slots live here but not in \p Q.
+  AbstractState &operator=(const AbstractState &Q);
+
+  /// The contents of stack slot \p Index.
+  const AbsReg &slot(unsigned Index) const { return Slots[Index]; }
+
+  /// Writes stack slot \p Index, keeping LiveSlots right.
+  void setSlot(unsigned Index, AbsReg Value) {
+    uint64_t Bit = uint64_t(1) << Index;
+    if (Value.kind() == RegKind::Uninit)
+      LiveSlots &= ~Bit;
+    else
+      LiveSlots |= Bit;
+    Slots[Index] = std::move(Value);
+  }
+
+  /// Bit i is set exactly when slot i is not Uninit.
+  uint64_t liveSlots() const { return LiveSlots; }
 
   /// The slot index covering frame offset \p Offset (which must be in
   /// [-StackSize, -1]).
@@ -164,6 +194,10 @@ struct AbstractState {
   /// region: R1 = mem pointer (offset 0), R2 = MemSize, R10 = stack
   /// pointer (offset 0), everything else uninitialized.
   static AbstractState makeEntry(uint64_t MemSize);
+
+  /// Overwrites this state with makeEntry(\p MemSize) in place, touching
+  /// only the registers and the slots live here.
+  void assignEntry(uint64_t MemSize);
 
   static AbstractState makeUnreachable() { return AbstractState(); }
 
@@ -188,17 +222,20 @@ struct AbstractState {
 
   std::string toString() const;
 
-  friend bool operator==(const AbstractState &A, const AbstractState &B) {
-    if (A.Reachable != B.Reachable)
-      return false;
-    if (!A.Reachable)
-      return true;
-    return A.Regs == B.Regs && A.Slots == B.Slots;
-  }
+  friend bool operator==(const AbstractState &A, const AbstractState &B);
   friend bool operator!=(const AbstractState &A, const AbstractState &B) {
     return !(A == B);
   }
+
+private:
+  /// Makes the slots and LiveSlots equal to \p Q's.
+  void assignSlots(const AbstractState &Q);
+
+  std::array<AbsReg, NumStackSlots> Slots;
+  uint64_t LiveSlots = 0;
 };
+
+bool operator==(const AbstractState &A, const AbstractState &B);
 
 inline const AbsReg &StateDelta::reg(unsigned Reg) const {
   for (unsigned Index = 0; Index != NumSet; ++Index)

@@ -139,7 +139,7 @@ AbsReg Analyzer::loadFromStack(size_t Pc, const AbstractState &In,
 
   // Precise fill: an 8-byte aligned 8-byte load of a tracked slot.
   if (ConstantOffset && I.Size == 8 && (Lo % 8) == 0) {
-    const AbsReg &Slot = In.Slots[AbstractState::slotIndex(Lo)];
+    const AbsReg &Slot = In.slot(AbstractState::slotIndex(Lo));
     if (Slot.isUsable())
       return Slot;
     report(Result, Pc,
@@ -150,7 +150,7 @@ AbsReg Analyzer::loadFromStack(size_t Pc, const AbstractState &In,
 
   // Imprecise read: every touched slot must hold initialized scalar data.
   for (int64_t SlotLo = Lo & ~int64_t(7); SlotLo <= Hi; SlotLo += 8) {
-    const AbsReg &Slot = In.Slots[AbstractState::slotIndex(SlotLo)];
+    const AbsReg &Slot = In.slot(AbstractState::slotIndex(SlotLo));
     if (Slot.isPointer()) {
       report(Result, Pc,
              formatString("partial read of spilled pointer at fp%+lld",
@@ -184,7 +184,7 @@ void Analyzer::storeToStack(size_t Pc, AbstractState &Out, const AbsReg &Base,
   // Precise spill: 8-byte aligned full-slot store tracks the value
   // (including pointers -- the kernel's spill/fill support).
   if (ConstantOffset && I.Size == 8 && (Lo % 8) == 0) {
-    Out.Slots[AbstractState::slotIndex(Lo)] = Stored;
+    Out.setSlot(AbstractState::slotIndex(Lo), Stored);
     return;
   }
 
@@ -195,15 +195,15 @@ void Analyzer::storeToStack(size_t Pc, AbstractState &Out, const AbsReg &Base,
     return;
   }
   for (int64_t SlotLo = Lo & ~int64_t(7); SlotLo <= Hi; SlotLo += 8) {
-    AbsReg &Slot = Out.Slots[AbstractState::slotIndex(SlotLo)];
-    if (Slot.isPointer()) {
+    unsigned Index = AbstractState::slotIndex(SlotLo);
+    if (Out.slot(Index).isPointer()) {
       report(Result, Pc,
              formatString("partial overwrite of spilled pointer at fp%+lld",
                           static_cast<long long>(SlotLo)));
-      Slot = AbsReg::makeInvalid();
+      Out.setSlot(Index, AbsReg::makeInvalid());
       continue;
     }
-    Slot = AbsReg::makeScalar(RegValue::makeTop());
+    Out.setSlot(Index, AbsReg::makeScalar(RegValue::makeTop()));
   }
 }
 
@@ -400,7 +400,7 @@ AnalysisResult Analyzer::run() {
     States.resize(N);
   for (size_t Pc = 0; Pc != N; ++Pc)
     States[Pc].Reachable = false;
-  States[0] = AbstractState::makeEntry(Opts.MemSize);
+  States[0].assignEntry(Opts.MemSize);
 
   JoinCounts.assign(N, 0);
 
@@ -415,7 +415,7 @@ AnalysisResult Analyzer::run() {
   RpoPosition.assign(N, SIZE_MAX);
   for (size_t I = 0; I != NumRpo; ++I)
     RpoPosition[Rpo[I]] = I;
-  Pending.assign(NumRpo, false);
+  Pending.assign(NumRpo, 0);
   // Metrics-only scratch: which RPO positions have been popped at least
   // once, so pops beyond the first count as worklist revisits. Kept empty
   // (never consulted) while the recorder is off.
@@ -423,7 +423,7 @@ AnalysisResult Analyzer::run() {
   if (metricsEnabled())
     Popped.assign(NumRpo, 0);
   assert(NumRpo != 0 && RpoPosition[0] == 0 && "entry leads the RPO");
-  Pending[0] = true;
+  Pending[0] = 1;
   size_t NumPending = 1;
   size_t ScanFrom = 0;
 
@@ -432,7 +432,7 @@ AnalysisResult Analyzer::run() {
     assert(Pos != SIZE_MAX &&
            "propagation into a CFG-unreachable instruction");
     if (!Pending[Pos]) {
-      Pending[Pos] = true;
+      Pending[Pos] = 1;
       ++NumPending;
       if (Pos < ScanFrom)
         ScanFrom = Pos;
@@ -465,7 +465,7 @@ AnalysisResult Analyzer::run() {
     while (!Pending[ScanFrom])
       ++ScanFrom;
     size_t Pc = Rpo[ScanFrom];
-    Pending[ScanFrom] = false;
+    Pending[ScanFrom] = 0;
     --NumPending;
     Metrics.InsnVisits.add();
     if (!Popped.empty()) {

@@ -136,7 +136,8 @@ private:
   /// The state before each instruction. Only the first NumPoints entries
   /// belong to the bound program; the table never shrinks, and a point
   /// is reset by clearing Reachable (an unreachable state's registers
-  /// are never read).
+  /// are never read, and the first-reach copy resets the slots the old
+  /// program left live).
   std::vector<AbstractState> States;
   size_t NumPoints = 0;
   AbstractState StoreScratch;
@@ -146,7 +147,7 @@ private:
   std::vector<size_t> RpoPosition;
   /// Worklist membership, indexed by RPO position (the worklist pops the
   /// lowest pending position -- see run()).
-  std::vector<bool> Pending;
+  std::vector<uint8_t> Pending;
   /// @}
 };
 

@@ -7,12 +7,25 @@
 
 #include "domain/RegValue.h"
 
+#include "support/Metrics.h"
 #include "support/Table.h"
 #include "tnum/TnumOps.h"
 
 #include <algorithm>
 
 using namespace tnums;
+
+namespace {
+
+/// Reduction rounds run (one per reduceOnce call), tallied once per sync
+/// so that a disabled recorder costs one untaken branch per sync.
+/// Observation only.
+Counter &reduceRoundsCounter() {
+  static Counter Rounds{"tnums_domain_reduce_rounds_total"};
+  return Rounds;
+}
+
+} // namespace
 
 RegValue::RegValue(Tnum T, Interval U, SignedRange S, unsigned WidthV)
     : TnumPart(T), UnsignedPart(U), SignedPart(S), Width(WidthV),
@@ -64,6 +77,11 @@ RegValue RegValue::fromUnsignedRange(uint64_t Min, uint64_t Max,
                   SignedRange::makeTop(Width), Width);
 }
 
+RegValue RegValue::fromComponents(Tnum T, Interval U, SignedRange S,
+                                  unsigned Width) {
+  return RegValue(T, U, S, Width);
+}
+
 bool RegValue::contains(uint64_t V) const {
   if (Bottom)
     return false;
@@ -89,6 +107,12 @@ RegValue RegValue::joinWith(const RegValue &Q) const {
     return Q;
   if (Q.Bottom)
     return *this;
+  // The componentwise join of two nested values is the outer one, which
+  // is synced already.
+  if (isSubsetOf(Q))
+    return Q;
+  if (Q.isSubsetOf(*this))
+    return *this;
   return RegValue(TnumPart.joinWith(Q.TnumPart),
                   UnsignedPart.joinWith(Q.UnsignedPart),
                   SignedPart.joinWith(Q.SignedPart), Width);
@@ -98,27 +122,43 @@ RegValue RegValue::meetWith(const RegValue &Q) const {
   assert(Width == Q.Width && "width mismatch");
   if (Bottom || Q.Bottom)
     return makeBottom(Width);
-  return RegValue(TnumPart.meetWith(Q.TnumPart),
-                  UnsignedPart.meetWith(Q.UnsignedPart),
-                  SignedPart.meetWith(Q.SignedPart), Width);
+  Tnum T = TnumPart.meetWith(Q.TnumPart);
+  Interval U = UnsignedPart.meetWith(Q.UnsignedPart);
+  SignedRange S = SignedPart.meetWith(Q.SignedPart);
+  // A meet that changes no component leaves this value, synced already.
+  if (T == TnumPart && U == UnsignedPart && S == SignedPart)
+    return *this;
+  return RegValue(T, U, S, Width);
 }
+
+// The refinements, like meetWith, return this value as is when the meet
+// leaves its component unchanged: sync() would find nothing to do.
 
 RegValue RegValue::refineTnum(Tnum T) const {
   if (Bottom)
     return *this;
-  return RegValue(TnumPart.meetWith(T), UnsignedPart, SignedPart, Width);
+  Tnum Met = TnumPart.meetWith(T);
+  if (Met == TnumPart)
+    return *this;
+  return RegValue(Met, UnsignedPart, SignedPart, Width);
 }
 
 RegValue RegValue::refineUnsigned(Interval I) const {
   if (Bottom)
     return *this;
-  return RegValue(TnumPart, UnsignedPart.meetWith(I), SignedPart, Width);
+  Interval Met = UnsignedPart.meetWith(I);
+  if (Met == UnsignedPart)
+    return *this;
+  return RegValue(TnumPart, Met, SignedPart, Width);
 }
 
 RegValue RegValue::refineSigned(SignedRange S) const {
   if (Bottom)
     return *this;
-  return RegValue(TnumPart, UnsignedPart, SignedPart.meetWith(S), Width);
+  SignedRange Met = SignedPart.meetWith(S);
+  if (Met == SignedPart)
+    return *this;
+  return RegValue(TnumPart, UnsignedPart, Met, Width);
 }
 
 std::string RegValue::toString() const {
@@ -223,15 +263,40 @@ bool RegValue::reduceOnce() {
 void RegValue::sync() {
   if (Bottom)
     return;
+  // A constant tnum pins the value: the rounds would meet both ranges with
+  // the constant and stop, at makeConstant(C) if both ranges hold C and at
+  // bottom otherwise.
+  if (TnumPart.isConstant()) {
+    uint64_t C = TnumPart.constantValue();
+    bool InRanges = UnsignedPart.contains(C) &&
+                    SignedPart.contains(signExtend(C, Width));
+    *this = InRanges ? makeConstant(C, Width) : makeBottom(Width);
+    return;
+  }
+  reduceByRounds();
+}
+
+void RegValue::reduceByRounds() {
+  uint64_t Rounds = 0;
   for (;;) {
     if (TnumPart.isBottom() || UnsignedPart.isBottom() ||
         SignedPart.isBottom()) {
       *this = makeBottom(Width);
-      return;
+      break;
     }
+    ++Rounds;
     if (!reduceOnce())
-      return;
+      break;
   }
+  if (metricsEnabled())
+    reduceRoundsCounter().add(Rounds);
+}
+
+RegValue RegValue::reduceByRounds(Tnum T, Interval U, SignedRange S,
+                                  unsigned Width) {
+  RegValue Out(T, U, S, Width, /*BottomV=*/false);
+  Out.reduceByRounds();
+  return Out;
 }
 
 RegValue tnums::applyBinary(BinaryOp Op, const RegValue &L,

@@ -57,6 +57,11 @@ public:
   static RegValue fromUnsignedRange(uint64_t Min, uint64_t Max,
                                     unsigned Width = MaxBitWidth);
 
+  /// The best product value within all of \p T, \p U and \p S (bottom if
+  /// they share no member). The components must fit \p Width.
+  static RegValue fromComponents(Tnum T, Interval U, SignedRange S,
+                                 unsigned Width = MaxBitWidth);
+
   unsigned width() const { return Width; }
   bool isBottom() const { return Bottom; }
   bool isConstant() const { return !Bottom && TnumPart.isConstant(); }
@@ -73,16 +78,24 @@ public:
   /// Product order: componentwise subset.
   bool isSubsetOf(const RegValue &Q) const;
 
+  /// Componentwise join, synced; the larger operand itself when one
+  /// contains the other.
   RegValue joinWith(const RegValue &Q) const;
+
+  /// Componentwise meet, synced; this value itself when the meet changes
+  /// no component.
   RegValue meetWith(const RegValue &Q) const;
 
-  /// Replaces the tnum component with its meet with \p T and re-syncs.
+  /// Replaces the tnum component with its meet with \p T and re-syncs
+  /// (returning this value itself when the meet changes nothing).
   RegValue refineTnum(Tnum T) const;
 
-  /// Replaces the unsigned bounds with their meet with \p I and re-syncs.
+  /// Replaces the unsigned bounds with their meet with \p I and re-syncs
+  /// (returning this value itself when the meet changes nothing).
   RegValue refineUnsigned(Interval I) const;
 
-  /// Replaces the signed bounds with their meet with \p S and re-syncs.
+  /// Replaces the signed bounds with their meet with \p S and re-syncs
+  /// (returning this value itself when the meet changes nothing).
   RegValue refineSigned(SignedRange S) const;
 
   std::string toString() const;
@@ -95,7 +108,14 @@ public:
   /// fixpoint (the kernel's reg_bounds_sync), collapsing to bottom on
   /// contradiction. Every factory and operation already returns synced
   /// values, so this is a no-op on any RegValue a caller can hold.
+  /// A constant tnum is answered directly, without reduction rounds.
   void sync();
+
+  /// The components \p T, \p U, \p S reduced by the plain round loop,
+  /// without any of the short-cuts sync(), joinWith, meetWith and the
+  /// refinements take: the reference the tests compare those to.
+  static RegValue reduceByRounds(Tnum T, Interval U, SignedRange S,
+                                 unsigned Width);
 
 private:
   RegValue(Tnum T, Interval U, SignedRange S, unsigned WidthV);
@@ -107,6 +127,10 @@ private:
   /// Folds tnum-derived bounds into the interval and vice versa; one
   /// reduction round. Returns true if anything changed.
   bool reduceOnce();
+
+  /// Runs reduceOnce() until nothing changes, collapsing to the canonical
+  /// bottom when a component empties.
+  void reduceByRounds();
 
   Tnum TnumPart;
   Interval UnsignedPart;

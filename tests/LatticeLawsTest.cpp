@@ -175,7 +175,7 @@ TEST(LatticeLaws, AbstractStateJoinIsUpperBound) {
   AbstractState Unreachable = AbstractState::makeUnreachable();
   AbstractState Modified = Entry;
   Modified.Regs[R3] = AbsReg::makeScalar(RegValue::makeConstant(5));
-  Modified.Slots[0] = AbsReg::makeScalar(RegValue::makeConstant(9));
+  Modified.setSlot(0, AbsReg::makeScalar(RegValue::makeConstant(9)));
 
   EXPECT_EQ(Entry.joinWith(Unreachable), Entry);
   EXPECT_EQ(Unreachable.joinWith(Entry), Entry);
@@ -187,7 +187,7 @@ TEST(LatticeLaws, AbstractStateJoinIsUpperBound) {
   EXPECT_TRUE(Modified.isSubsetOf(J));
   // R3 was Uninit on one side: join is unusable.
   EXPECT_FALSE(J.Regs[R3].isUsable());
-  EXPECT_FALSE(J.Slots[0].isUsable());
+  EXPECT_FALSE(J.slot(0).isUsable());
 }
 
 } // namespace

@@ -11,7 +11,8 @@
 /// deterministic under multi-threaded recording, the disabled recorder
 /// touches nothing (no shards ever materialize), gauges track peaks, and
 /// the Prometheus/JSON renderings round-trip the counts. The analyzer's
-/// deterministic work counters are pinned exactly on a fixed program set.
+/// and the domain's deterministic work counters are pinned exactly on a
+/// fixed program set.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -280,7 +281,8 @@ TEST_F(MetricsTest, JsonLineBuilderEscapes) {
 /// The analyzer's deterministic work counters on a fixed program set: a
 /// straight-line program, a guarded access whose branches merge, and two
 /// counting loops, one of which runs past the widening threshold. The
-/// values are exact: any change to them is a change in fixpoint work.
+/// values are exact: any change to them is a change in fixpoint work (or,
+/// for the reduction rounds, in how many syncs the domain short-cuts).
 TEST_F(MetricsTest, AnalyzerJoinAndWideningCountsAreExact) {
   using namespace tnums::bpf;
   std::vector<Program> Programs{
@@ -325,6 +327,7 @@ TEST_F(MetricsTest, AnalyzerJoinAndWideningCountsAreExact) {
   EXPECT_EQ(Visits, 37u);
   EXPECT_EQ(Count("tnums_analyzer_joins_total"), 34u);
   EXPECT_EQ(Count("tnums_analyzer_widenings_total"), 2u);
+  EXPECT_EQ(Count("tnums_domain_reduce_rounds_total"), 40u);
 }
 
 } // namespace
