@@ -53,19 +53,14 @@
 ///                        exactly that algorithm's soundness cells -- the
 ///                        CI incremental smoke leg drives this
 ///
-/// --simd={auto,off,portable,avx2,avx512,neon} selects the member-scan
-/// path and kernel tier (support/SimdBatch.h; "on" stays accepted as a
-/// legacy alias of auto). Reports are bit-identical across modes, so
-/// --simd=auto vs --simd=off is the A/B measurement of the batched
-/// kernels; forcing an unsupported tier is a hard error naming what this
-/// host supports. --compare-serial times the scalar serial checkers on
-/// the multiplication campaign.
+/// --simd={auto,off} selects the member-scan path (support/SimdBatch.h):
+/// the batched member-pair loops or the scalar reference. Reports are
+/// bit-identical across modes, so --simd=auto vs --simd=off is the A/B
+/// measurement of the batched loops. --compare-serial times the scalar
+/// serial checkers on the multiplication campaign.
 /// --optimality={first,full} picks first-witness-only (default; the
 /// ROADMAP's deterministic early-exit mode) or exact-total optimality
-/// scans, and --compare-optimality re-times the optimality cells twice:
-/// with the memoized-concretization path disabled, and with the fused
-/// evaluate-and-reduce alpha loops disabled (SweepConfig::FuseOptimality)
-/// -- both A/Bs must report identically to the main run.
+/// scans.
 /// --json FILE dumps the campaign figures of merit as BENCH_sweep.json
 /// for the CI perf gate (ci/compare_bench.py gate_sweep).
 /// --precision (opt-in) appends precision cells to the campaign -- the
@@ -76,8 +71,7 @@
 /// Usage: soundness_verification [--width N] [--mul-width N]
 ///                               [--random-pairs N] [--jobs N]
 ///                               [--simd=MODE] [--compare-serial]
-///                               [--optimality={first,full}]
-///                               [--compare-optimality] [--precision]
+///                               [--optimality={first,full}] [--precision]
 ///                               [--json FILE]
 ///                               [--diff-baseline D] [--flip-mul ALGO]
 ///                               [--checkpoint-dir D] [--resume]
@@ -145,7 +139,6 @@ int main(int Argc, char **Argv) {
   unsigned Jobs = ThreadPool::hardwareConcurrency();
   SimdMode Simd = SimdMode::Auto;
   bool CompareSerial = false;
-  bool CompareOptimality = false;
   bool NoTiming = false;
   bool Precision = false;
   const char *SimdText = nullptr;
@@ -192,10 +185,6 @@ int main(int Argc, char **Argv) {
       Precision = true;
       continue;
     }
-    if (Args.matchFlag("--compare-optimality")) {
-      CompareOptimality = true;
-      continue;
-    }
     // Suppress wall-clock columns so the report is byte-for-byte
     // deterministic -- how CI diffs a sharded+resumed campaign against
     // the single-invocation run.
@@ -209,21 +198,10 @@ int main(int Argc, char **Argv) {
   }
   bool BadArgs = Args.failed();
   if (SimdText) {
-    if (std::optional<SimdMode> Parsed = parseSimdMode(SimdText)) {
+    if (std::optional<SimdMode> Parsed = parseSimdMode(SimdText))
       Simd = *Parsed;
-      if (!simdModeSupported(Simd)) {
-        // Forced tiers the host cannot execute are a hard error here
-        // (the library would silently fall back to portable kernels;
-        // a benchmark front end should say so instead).
-        std::fprintf(stderr,
-                     "error: --simd=%s is not supported on this host; "
-                     "supported modes: %s\n",
-                     simdModeName(Simd), supportedSimdModeList().c_str());
-        return 1;
-      }
-    } else {
+    else
       BadArgs = true;
-    }
   }
   bool OptimalityEarlyExit = true;
   if (OptimalityText) {
@@ -247,7 +225,7 @@ int main(int Argc, char **Argv) {
         stderr,
         "usage: %s [--width 1..16] [--mul-width 1..16] [--random-pairs N] "
         "[--jobs 0..1024] [--simd=%s] [--compare-serial] "
-        "[--optimality={first,full}] [--compare-optimality] [--no-timing] "
+        "[--optimality={first,full}] [--no-timing] "
         "[--precision] [--json FILE] [--diff-baseline D] [--flip-mul ALGO] "
         "%s\n",
         Argv[0], SimdModeUsage, CampaignArgsUsage);
@@ -256,7 +234,7 @@ int main(int Argc, char **Argv) {
   SweepConfig Sweep;
   Sweep.NumThreads = Jobs;
   Sweep.Simd = Simd;
-  std::printf("member-scan path: --simd=%s resolves to %s on this host\n\n",
+  std::printf("member-scan path: --simd=%s runs the %s path\n\n",
               simdModeName(Simd), simdPathDescription(Simd).c_str());
 
   //===--------------------------------------------------------------------===//
@@ -451,91 +429,6 @@ int main(int Argc, char **Argv) {
   std::printf("paper: all ops sound; add/sub/bitwise also optimal; div/mod "
               "conservatively imprecise.\n\n");
 
-  if (CompareOptimality) {
-    // A/B the memoized-concretization restructuring: rerun only the
-    // optimality cells with the per-pair gamma(P) re-enumeration the
-    // refactor replaced, and diff the reports (they must be identical).
-    CampaignSpec OptSpec;
-    OptSpec.OptimalityEarlyExit = OptimalityEarlyExit;
-    std::vector<size_t> Twins; ///< Memoized twin cells in the main run.
-    for (const OpCells &Row : Sec1)
-      if (!Row.Skipped) {
-        OptSpec.Cells.push_back(Spec.Cells[Row.Optimality]);
-        Twins.push_back(Row.Optimality);
-      }
-    SweepConfig Legacy = Sweep;
-    Legacy.MemoizeOptimality = false;
-    CampaignResult LegacyRun = runCampaign(OptSpec, CampaignIO(), Legacy);
-    if (!LegacyRun.ok()) {
-      std::fprintf(stderr, "error: %s\n", LegacyRun.Error.c_str());
-      return 1;
-    }
-    TextTable CmpTable({"op", "memoized s", "legacy s", "speedup",
-                        "reports"});
-    bool Identical = true;
-    for (size_t I = 0; I != OptSpec.Cells.size(); ++I) {
-      size_t Twin = Twins[I];
-      const OptimalityReport &A = Campaign.Cells[Twin].Optimality;
-      const OptimalityReport &B = LegacyRun.Cells[I].Optimality;
-      bool Same = A.PairsChecked == B.PairsChecked &&
-                  A.OptimalPairs == B.OptimalPairs &&
-                  A.isOptimalEverywhere() == B.isOptimalEverywhere();
-      Identical &= Same;
-      double MemoSeconds = Campaign.Cells[Twin].Seconds;
-      double LegacySeconds = LegacyRun.Cells[I].Seconds;
-      CmpTable.addRowOf(binaryOpName(OptSpec.Cells[I].Op),
-                        formatString("%.3f", MemoSeconds),
-                        formatString("%.3f", LegacySeconds),
-                        formatString("%.2fx", MemoSeconds > 0
-                                                  ? LegacySeconds / MemoSeconds
-                                                  : 0.0),
-                        Same ? "identical" : "DIVERGED");
-    }
-    std::printf("memoized vs legacy optimality scan (gamma(P) hoisted "
-                "across the Q axis vs re-enumerated per pair):\n");
-    CmpTable.printAligned(stdout);
-    std::printf("\n");
-    AllHold &= Identical;
-
-    // A/B the fused evaluate-and-reduce alpha loops: rerun the optimality
-    // cells with SweepConfig::FuseOptimality off (two-pass batch +
-    // ReduceAndOr, everything else identical) and diff the reports.
-    SweepConfig Unfused = Sweep;
-    Unfused.FuseOptimality = false;
-    CampaignResult UnfusedRun = runCampaign(OptSpec, CampaignIO(), Unfused);
-    if (!UnfusedRun.ok()) {
-      std::fprintf(stderr, "error: %s\n", UnfusedRun.Error.c_str());
-      return 1;
-    }
-    TextTable FuseTable({"op", "fused s", "unfused s", "speedup", "reports"});
-    bool FusedIdentical = true;
-    for (size_t I = 0; I != OptSpec.Cells.size(); ++I) {
-      size_t Twin = Twins[I];
-      const OptimalityReport &A = Campaign.Cells[Twin].Optimality;
-      const OptimalityReport &B = UnfusedRun.Cells[I].Optimality;
-      bool Same = A.PairsChecked == B.PairsChecked &&
-                  A.OptimalPairs == B.OptimalPairs &&
-                  A.isOptimalEverywhere() == B.isOptimalEverywhere();
-      FusedIdentical &= Same;
-      double FusedSeconds = Campaign.Cells[Twin].Seconds;
-      double UnfusedSeconds = UnfusedRun.Cells[I].Seconds;
-      FuseTable.addRowOf(binaryOpName(OptSpec.Cells[I].Op),
-                         formatString("%.3f", FusedSeconds),
-                         formatString("%.3f", UnfusedSeconds),
-                         formatString("%.2fx", FusedSeconds > 0
-                                                   ? UnfusedSeconds /
-                                                         FusedSeconds
-                                                   : 0.0),
-                         Same ? "identical" : "DIVERGED");
-    }
-    std::printf("fused vs unfused optimality alpha-reduce (evaluation and "
-                "AND/OR accumulation in one register loop vs the two-pass "
-                "batch; only add/sub/mul/and/or/xor have fused loops):\n");
-    FuseTable.printAligned(stdout);
-    std::printf("\n");
-    AllHold &= FusedIdentical;
-  }
-
   //===--------------------------------------------------------------------===//
   std::printf("[2] exhaustive soundness of each multiplication algorithm at "
               "width %u (%u jobs)\n\n",
@@ -565,7 +458,7 @@ int main(int Argc, char **Argv) {
   }
   MulTable.printAligned(stdout);
   // ConcreteChecked/sec over the whole campaign: the A/B figure of merit
-  // for --simd on/off (identical eval counts, different wall-clock).
+  // for --simd auto/off (identical eval counts, different wall-clock).
   if (!NoTiming)
     std::printf("campaign throughput: %.1f Mevals/s "
                 "(%llu concrete evals in %.3f s; --simd=%s, %u jobs)\n",
@@ -733,7 +626,7 @@ int main(int Argc, char **Argv) {
                  "  \"campaign_mevals_per_s\": %.3f,\n"
                  "  \"algorithms\": [\n",
                  buildInfoJson().c_str(), Width, MulWidth, Sweep.NumThreads,
-                 simdModeName(Simd), selectSimdKernels(Simd).Name,
+                 simdModeName(Simd), simdPathDescription(Simd).c_str(),
                  AllHold ? "true" : "false",
                  static_cast<unsigned long long>(CampaignEvals),
                  ParallelSeconds,

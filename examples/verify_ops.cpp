@@ -16,7 +16,7 @@
 /// counts, and (when it fits) the optimality verdict with a witness.
 ///
 /// Sweeps run on the parallel engine (verify/ParallelSweep.h) over the
-/// batched SIMD membership kernels -- the same fast path as the campaign
+/// batched member-pair loops -- the same fast path as the campaign
 /// benchmarks -- so width 7-8 stay interactive on a multicore host. The
 /// reports are bit-identical to the serial scalar checkers (the engine's
 /// determinism contract).
@@ -56,7 +56,7 @@ static void verifyOne(BinaryOp Op, unsigned Width, MulAlgorithm Mul,
                    "-");
     return;
   }
-  SweepConfig Config; // Hardware concurrency, batched kernels.
+  SweepConfig Config; // Hardware concurrency, batched loops.
   SoundnessReport Sound =
       checkSoundnessExhaustiveParallel(Op, Width, Mul, Config);
   OptimalityReport Precise = checkOptimalityExhaustiveParallel(

@@ -939,48 +939,13 @@ void normalizeOptimalityFailure(BinaryOp Op, MulAlgorithm Mul,
                                 OptimalityReport &Report) {
   assert(Report.Failure && "nothing to normalize");
   Report.PairsChecked = FailIndex - Begin + 1;
-  const bool Batched = simdModeBatches(Config.Simd);
-  const SimdKernels &Kernels = selectSimdKernels(Config.Simd);
-  std::vector<uint64_t> Xs;
-  std::vector<uint64_t> Ys;
-  uint64_t XsIndex = UINT64_MAX;
+  PairMembers Staging;
   uint64_t Optimal = 0;
   for (uint64_t Index = Begin; Index != FailIndex; ++Index) {
     const Tnum &P = Grid.Universe[Index / Grid.NumTnums];
     const Tnum &Q = Grid.Universe[Index % Grid.NumTnums];
-    Tnum Actual = applyAbstractBinary(Op, P, Q, Grid.Width, Mul);
-    Tnum Best;
-    if (Batched) {
-      const uint64_t *XsPtr;
-      uint64_t NumXs;
-      uint64_t PIndex = Index / Grid.NumTnums;
-      if (Grid.Members) {
-        XsPtr = Grid.Members->members(PIndex);
-        NumXs = Grid.Members->numMembers(PIndex);
-      } else {
-        if (XsIndex != PIndex) {
-          materializeMembers(P, Xs);
-          XsIndex = PIndex;
-        }
-        XsPtr = Xs.data();
-        NumXs = Xs.size();
-      }
-      const uint64_t *YsPtr;
-      uint64_t NumYs;
-      if (Grid.Members) {
-        YsPtr = Grid.Members->members(Index % Grid.NumTnums);
-        NumYs = Grid.Members->numMembers(Index % Grid.NumTnums);
-      } else {
-        materializeMembers(Q, Ys);
-        YsPtr = Ys.data();
-        NumYs = Ys.size();
-      }
-      Best = optimalAbstractBinaryMembers(Op, Grid.Width, XsPtr, NumXs,
-                                          YsPtr, NumYs, Kernels);
-    } else {
-      Best = optimalAbstractBinary(Op, P, Q, Grid.Width);
-    }
-    if (Actual == Best)
+    if (applyAbstractBinary(Op, P, Q, Grid.Width, Mul) ==
+        optimalAbstractionAt(Op, Grid, Index, Config.Simd, Staging))
       ++Optimal;
   }
   Report.OptimalPairs = Optimal;
@@ -1504,10 +1469,10 @@ CampaignDiffResult tnums::diffCampaignBaseline(const CampaignSpec &Spec,
   return Diff;
 }
 
-uint64_t tnums::printPrecisionDeltas(const CampaignSpec &Spec,
-                                     const CampaignDiffResult &Diff,
-                                     const CampaignResult &Current,
-                                     std::FILE *Out) {
+uint64_t
+tnums::printPrecisionDeltas([[maybe_unused]] const CampaignSpec &Spec,
+                            const CampaignDiffResult &Diff,
+                            const CampaignResult &Current, std::FILE *Out) {
   uint64_t Deltas = 0;
   assert(Diff.Cells.size() == Spec.Cells.size() &&
          Current.Cells.size() == Spec.Cells.size() &&

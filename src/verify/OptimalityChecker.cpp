@@ -10,416 +10,11 @@
 #include "support/Table.h"
 #include "tnum/TnumEnum.h"
 #include "tnum/TnumMembers.h"
+#include "verify/MemberLoops.h"
 
-#include <algorithm>
 #include <bit>
 
-#if TNUMS_SIMD_HAVE_X86_KERNELS
-#include <immintrin.h>
-#endif
-#if TNUMS_SIMD_HAVE_NEON_KERNELS
-#include <arm_neon.h>
-#endif
-
 using namespace tnums;
-
-//===----------------------------------------------------------------------===//
-// Fused evaluate-and-reduce (the optimality alpha-reduce)
-//
-// The two-pass path materializes each batch of concrete results into a
-// stack buffer (applyConcreteBinaryBatch / ...Lhs) and then runs
-// Kernels.ReduceAndOr over it, paying a store + reload per member pair.
-// For the fused-eligible operators (hasFusedSimdKernel) the evaluation
-// and the two alpha reductions (Eqn. 5) run in ONE register loop: the
-// AND/OR accumulators ride in vector registers through the eval loop and
-// the concrete outputs never touch memory. This mirrors the fused
-// soundness scans in SoundnessChecker.cpp.
-//
-// One loop serves both batching axes: the commutative ops do not care
-// which operand is splat, and Sub -- the only fused non-commutative op --
-// just flips its operand order on BatchLhs. Both reductions are exact
-// order-independent bitwise folds, so fused and two-pass results are
-// bit-identical by construction, for every tier.
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Scalar evaluation of one fused-eligible op with the batch operand in
-/// \p B and the fixed operand in \p F; \p BatchLhs says which side the
-/// batch is on (only Sub cares). Tail step shared by every tier.
-inline uint64_t fusedEval(BinaryOp Op, bool BatchLhs, uint64_t F, uint64_t B,
-                          uint64_t WMask) {
-  switch (Op) {
-  case BinaryOp::Add:
-    return (F + B) & WMask;
-  case BinaryOp::Sub:
-    return (BatchLhs ? B - F : F - B) & WMask;
-  case BinaryOp::Mul:
-    return (F * B) & WMask;
-  case BinaryOp::And:
-    return F & B;
-  case BinaryOp::Or:
-    return F | B;
-  case BinaryOp::Xor:
-    return F ^ B;
-  default:
-    assert(false && "op has no fused reduce tail");
-    return 0;
-  }
-}
-
-/// Portable fused loop: same store-elimination idea without hand
-/// vectorization (the per-op bodies are simple enough to auto-vectorize).
-void fusedReduceScalar(BinaryOp Op, bool BatchLhs, uint64_t Fixed,
-                       const uint64_t *Batch, unsigned N, uint64_t WMask,
-                       uint64_t *AndAcc, uint64_t *OrAcc) {
-  uint64_t A = *AndAcc;
-  uint64_t O = *OrAcc;
-  switch (Op) {
-  case BinaryOp::Add:
-    for (unsigned I = 0; I != N; ++I) {
-      uint64_t Z = (Fixed + Batch[I]) & WMask;
-      A &= Z;
-      O |= Z;
-    }
-    break;
-  case BinaryOp::Sub:
-    if (BatchLhs) {
-      for (unsigned I = 0; I != N; ++I) {
-        uint64_t Z = (Batch[I] - Fixed) & WMask;
-        A &= Z;
-        O |= Z;
-      }
-    } else {
-      for (unsigned I = 0; I != N; ++I) {
-        uint64_t Z = (Fixed - Batch[I]) & WMask;
-        A &= Z;
-        O |= Z;
-      }
-    }
-    break;
-  case BinaryOp::Mul:
-    for (unsigned I = 0; I != N; ++I) {
-      uint64_t Z = (Fixed * Batch[I]) & WMask;
-      A &= Z;
-      O |= Z;
-    }
-    break;
-  case BinaryOp::And:
-    for (unsigned I = 0; I != N; ++I) {
-      uint64_t Z = Fixed & Batch[I];
-      A &= Z;
-      O |= Z;
-    }
-    break;
-  case BinaryOp::Or:
-    for (unsigned I = 0; I != N; ++I) {
-      uint64_t Z = Fixed | Batch[I];
-      A &= Z;
-      O |= Z;
-    }
-    break;
-  case BinaryOp::Xor:
-    for (unsigned I = 0; I != N; ++I) {
-      uint64_t Z = Fixed ^ Batch[I];
-      A &= Z;
-      O |= Z;
-    }
-    break;
-  default:
-    assert(false && "op has no fused reduce loop");
-  }
-  *AndAcc = A;
-  *OrAcc = O;
-}
-
-#if TNUMS_SIMD_HAVE_X86_KERNELS
-
-__attribute__((target("avx2"))) void
-fusedReduceAvx2(BinaryOp Op, bool BatchLhs, uint64_t Fixed,
-                const uint64_t *Batch, unsigned N, uint64_t WMask,
-                uint64_t *AndAcc, uint64_t *OrAcc) {
-  const __m256i Fv = _mm256_set1_epi64x(static_cast<long long>(Fixed));
-  const __m256i WMaskv = _mm256_set1_epi64x(static_cast<long long>(WMask));
-  __m256i A = _mm256_set1_epi64x(-1);
-  __m256i O = _mm256_setzero_si256();
-  unsigned I = 0;
-  switch (Op) {
-  case BinaryOp::Add:
-    for (; I + 4 <= N; I += 4) {
-      __m256i B =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Batch + I));
-      __m256i Z = _mm256_and_si256(_mm256_add_epi64(Fv, B), WMaskv);
-      A = _mm256_and_si256(A, Z);
-      O = _mm256_or_si256(O, Z);
-    }
-    break;
-  case BinaryOp::Sub:
-    for (; I + 4 <= N; I += 4) {
-      __m256i B =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Batch + I));
-      __m256i Z = BatchLhs ? _mm256_sub_epi64(B, Fv) : _mm256_sub_epi64(Fv, B);
-      Z = _mm256_and_si256(Z, WMaskv);
-      A = _mm256_and_si256(A, Z);
-      O = _mm256_or_si256(O, Z);
-    }
-    break;
-  case BinaryOp::Mul:
-    // Width <= 16 lanes: the 8x32-bit low multiply is exact (odd 32-bit
-    // elements multiply 0 * 0), as in the fused soundness loop.
-    for (; I + 4 <= N; I += 4) {
-      __m256i B =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Batch + I));
-      __m256i Z = _mm256_and_si256(_mm256_mullo_epi32(Fv, B), WMaskv);
-      A = _mm256_and_si256(A, Z);
-      O = _mm256_or_si256(O, Z);
-    }
-    break;
-  case BinaryOp::And:
-    for (; I + 4 <= N; I += 4) {
-      __m256i B =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Batch + I));
-      __m256i Z = _mm256_and_si256(Fv, B);
-      A = _mm256_and_si256(A, Z);
-      O = _mm256_or_si256(O, Z);
-    }
-    break;
-  case BinaryOp::Or:
-    for (; I + 4 <= N; I += 4) {
-      __m256i B =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Batch + I));
-      __m256i Z = _mm256_or_si256(Fv, B);
-      A = _mm256_and_si256(A, Z);
-      O = _mm256_or_si256(O, Z);
-    }
-    break;
-  case BinaryOp::Xor:
-    for (; I + 4 <= N; I += 4) {
-      __m256i B =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Batch + I));
-      __m256i Z = _mm256_xor_si256(Fv, B);
-      A = _mm256_and_si256(A, Z);
-      O = _mm256_or_si256(O, Z);
-    }
-    break;
-  default:
-    assert(false && "op has no fused reduce loop");
-  }
-  alignas(SimdBatchAlign) uint64_t ATmp[4];
-  alignas(SimdBatchAlign) uint64_t OTmp[4];
-  _mm256_store_si256(reinterpret_cast<__m256i *>(ATmp), A);
-  _mm256_store_si256(reinterpret_cast<__m256i *>(OTmp), O);
-  uint64_t AFold = ATmp[0] & ATmp[1] & ATmp[2] & ATmp[3];
-  uint64_t OFold = OTmp[0] | OTmp[1] | OTmp[2] | OTmp[3];
-  for (; I != N; ++I) {
-    uint64_t Z = fusedEval(Op, BatchLhs, Fixed, Batch[I], WMask);
-    AFold &= Z;
-    OFold |= Z;
-  }
-  *AndAcc &= AFold;
-  *OrAcc |= OFold;
-}
-
-/// Horizontal AND/OR of the eight qword lanes, spelled out with one
-/// store and a scalar fold instead of _mm512_reduce_*_epi64: GCC 12's
-/// header implementation trips -Wuninitialized (via
-/// _mm256_undefined_si256) under -Werror.
-__attribute__((target("avx512f,avx512bw"), always_inline)) inline uint64_t
-horizontalAnd512(__m512i A) {
-  alignas(64) uint64_t Tmp[8];
-  _mm512_store_si512(Tmp, A);
-  return Tmp[0] & Tmp[1] & Tmp[2] & Tmp[3] & Tmp[4] & Tmp[5] & Tmp[6] &
-         Tmp[7];
-}
-
-__attribute__((target("avx512f,avx512bw"), always_inline)) inline uint64_t
-horizontalOr512(__m512i O) {
-  alignas(64) uint64_t Tmp[8];
-  _mm512_store_si512(Tmp, O);
-  return Tmp[0] | Tmp[1] | Tmp[2] | Tmp[3] | Tmp[4] | Tmp[5] | Tmp[6] |
-         Tmp[7];
-}
-
-__attribute__((target("avx512f,avx512bw"))) void
-fusedReduceAvx512(BinaryOp Op, bool BatchLhs, uint64_t Fixed,
-                  const uint64_t *Batch, unsigned N, uint64_t WMask,
-                  uint64_t *AndAcc, uint64_t *OrAcc) {
-  const __m512i Fv = _mm512_set1_epi64(static_cast<long long>(Fixed));
-  const __m512i WMaskv = _mm512_set1_epi64(static_cast<long long>(WMask));
-  __m512i A = _mm512_set1_epi64(-1);
-  __m512i O = _mm512_setzero_si512();
-  unsigned I = 0;
-  switch (Op) {
-  case BinaryOp::Add:
-    for (; I + 8 <= N; I += 8) {
-      __m512i B = _mm512_loadu_si512(Batch + I);
-      __m512i Z = _mm512_and_si512(_mm512_add_epi64(Fv, B), WMaskv);
-      A = _mm512_and_si512(A, Z);
-      O = _mm512_or_si512(O, Z);
-    }
-    break;
-  case BinaryOp::Sub:
-    for (; I + 8 <= N; I += 8) {
-      __m512i B = _mm512_loadu_si512(Batch + I);
-      __m512i Z = BatchLhs ? _mm512_sub_epi64(B, Fv) : _mm512_sub_epi64(Fv, B);
-      Z = _mm512_and_si512(Z, WMaskv);
-      A = _mm512_and_si512(A, Z);
-      O = _mm512_or_si512(O, Z);
-    }
-    break;
-  case BinaryOp::Mul:
-    for (; I + 8 <= N; I += 8) {
-      __m512i B = _mm512_loadu_si512(Batch + I);
-      __m512i Z = _mm512_and_si512(_mm512_mullo_epi32(Fv, B), WMaskv);
-      A = _mm512_and_si512(A, Z);
-      O = _mm512_or_si512(O, Z);
-    }
-    break;
-  case BinaryOp::And:
-    for (; I + 8 <= N; I += 8) {
-      __m512i B = _mm512_loadu_si512(Batch + I);
-      __m512i Z = _mm512_and_si512(Fv, B);
-      A = _mm512_and_si512(A, Z);
-      O = _mm512_or_si512(O, Z);
-    }
-    break;
-  case BinaryOp::Or:
-    for (; I + 8 <= N; I += 8) {
-      __m512i B = _mm512_loadu_si512(Batch + I);
-      __m512i Z = _mm512_or_si512(Fv, B);
-      A = _mm512_and_si512(A, Z);
-      O = _mm512_or_si512(O, Z);
-    }
-    break;
-  case BinaryOp::Xor:
-    for (; I + 8 <= N; I += 8) {
-      __m512i B = _mm512_loadu_si512(Batch + I);
-      __m512i Z = _mm512_xor_si512(Fv, B);
-      A = _mm512_and_si512(A, Z);
-      O = _mm512_or_si512(O, Z);
-    }
-    break;
-  default:
-    assert(false && "op has no fused reduce loop");
-  }
-  uint64_t AFold = horizontalAnd512(A);
-  uint64_t OFold = horizontalOr512(O);
-  for (; I != N; ++I) {
-    uint64_t Z = fusedEval(Op, BatchLhs, Fixed, Batch[I], WMask);
-    AFold &= Z;
-    OFold |= Z;
-  }
-  *AndAcc &= AFold;
-  *OrAcc |= OFold;
-}
-
-#endif // TNUMS_SIMD_HAVE_X86_KERNELS
-
-#if TNUMS_SIMD_HAVE_NEON_KERNELS
-
-void fusedReduceNeon(BinaryOp Op, bool BatchLhs, uint64_t Fixed,
-                     const uint64_t *Batch, unsigned N, uint64_t WMask,
-                     uint64_t *AndAcc, uint64_t *OrAcc) {
-  const uint64x2_t Fv = vdupq_n_u64(Fixed);
-  const uint64x2_t WMaskv = vdupq_n_u64(WMask);
-  uint64x2_t A = vdupq_n_u64(~uint64_t(0));
-  uint64x2_t O = vdupq_n_u64(0);
-  unsigned I = 0;
-  switch (Op) {
-  case BinaryOp::Add:
-    for (; I + 2 <= N; I += 2) {
-      uint64x2_t B = vld1q_u64(Batch + I);
-      uint64x2_t Z = vandq_u64(vaddq_u64(Fv, B), WMaskv);
-      A = vandq_u64(A, Z);
-      O = vorrq_u64(O, Z);
-    }
-    break;
-  case BinaryOp::Sub:
-    for (; I + 2 <= N; I += 2) {
-      uint64x2_t B = vld1q_u64(Batch + I);
-      uint64x2_t Z = BatchLhs ? vsubq_u64(B, Fv) : vsubq_u64(Fv, B);
-      Z = vandq_u64(Z, WMaskv);
-      A = vandq_u64(A, Z);
-      O = vorrq_u64(O, Z);
-    }
-    break;
-  case BinaryOp::Mul:
-    // Width <= 16: 32-bit lane multiply of the low halves is exact.
-    for (; I + 2 <= N; I += 2) {
-      uint64x2_t B = vld1q_u64(Batch + I);
-      uint32x4_t Prod =
-          vmulq_u32(vreinterpretq_u32_u64(Fv), vreinterpretq_u32_u64(B));
-      uint64x2_t Z = vandq_u64(vreinterpretq_u64_u32(Prod), WMaskv);
-      A = vandq_u64(A, Z);
-      O = vorrq_u64(O, Z);
-    }
-    break;
-  case BinaryOp::And:
-    for (; I + 2 <= N; I += 2) {
-      uint64x2_t B = vld1q_u64(Batch + I);
-      uint64x2_t Z = vandq_u64(Fv, B);
-      A = vandq_u64(A, Z);
-      O = vorrq_u64(O, Z);
-    }
-    break;
-  case BinaryOp::Or:
-    for (; I + 2 <= N; I += 2) {
-      uint64x2_t B = vld1q_u64(Batch + I);
-      uint64x2_t Z = vorrq_u64(Fv, B);
-      A = vandq_u64(A, Z);
-      O = vorrq_u64(O, Z);
-    }
-    break;
-  case BinaryOp::Xor:
-    for (; I + 2 <= N; I += 2) {
-      uint64x2_t B = vld1q_u64(Batch + I);
-      uint64x2_t Z = veorq_u64(Fv, B);
-      A = vandq_u64(A, Z);
-      O = vorrq_u64(O, Z);
-    }
-    break;
-  default:
-    assert(false && "op has no fused reduce loop");
-  }
-  uint64_t AFold = vgetq_lane_u64(A, 0) & vgetq_lane_u64(A, 1);
-  uint64_t OFold = vgetq_lane_u64(O, 0) | vgetq_lane_u64(O, 1);
-  for (; I != N; ++I) {
-    uint64_t Z = fusedEval(Op, BatchLhs, Fixed, Batch[I], WMask);
-    AFold &= Z;
-    OFold |= Z;
-  }
-  *AndAcc &= AFold;
-  *OrAcc |= OFold;
-}
-
-#endif // TNUMS_SIMD_HAVE_NEON_KERNELS
-
-/// Dispatches one fused reduce call to \p Tier's loop. Every tier is
-/// bit-identical; the portable loop is the reference.
-void fusedReduceAndOr(SimdTier Tier, BinaryOp Op, bool BatchLhs,
-                      uint64_t Fixed, const uint64_t *Batch, unsigned N,
-                      uint64_t WMask, uint64_t *AndAcc, uint64_t *OrAcc) {
-  switch (Tier) {
-#if TNUMS_SIMD_HAVE_X86_KERNELS
-  case SimdTier::Avx2:
-    fusedReduceAvx2(Op, BatchLhs, Fixed, Batch, N, WMask, AndAcc, OrAcc);
-    return;
-  case SimdTier::Avx512:
-    fusedReduceAvx512(Op, BatchLhs, Fixed, Batch, N, WMask, AndAcc, OrAcc);
-    return;
-#endif
-#if TNUMS_SIMD_HAVE_NEON_KERNELS
-  case SimdTier::Neon:
-    fusedReduceNeon(Op, BatchLhs, Fixed, Batch, N, WMask, AndAcc, OrAcc);
-    return;
-#endif
-  default:
-    fusedReduceScalar(Op, BatchLhs, Fixed, Batch, N, WMask, AndAcc, OrAcc);
-    return;
-  }
-}
-
-} // namespace
 
 Tnum tnums::optimalAbstractBinary(BinaryOp Op, Tnum P, Tnum Q,
                                   unsigned Width) {
@@ -431,90 +26,6 @@ Tnum tnums::optimalAbstractBinary(BinaryOp Op, Tnum P, Tnum Q,
     });
   });
   return Acc;
-}
-
-Tnum tnums::optimalAbstractBinaryBatched(BinaryOp Op, unsigned Width,
-                                         const Tnum &P, const uint64_t *Ys,
-                                         uint64_t NumYs,
-                                         const SimdKernels &Kernels,
-                                         bool AllowFused) {
-  assert(P.isWellFormed() && "optimal abstraction of ⊥");
-  assert(NumYs != 0 && "gamma(Q) of a well-formed tnum is never empty");
-  // alpha over a non-empty set C is (AND of C, AND xor OR) (Eqn. 5);
-  // folding constants through joinWith computes exactly these two
-  // reductions, so accumulating them directly is the batched equivalent.
-  uint64_t AndAcc = ~uint64_t(0);
-  uint64_t OrAcc = 0;
-  const bool Fused = AllowFused && hasFusedSimdKernel(Op, Width);
-  const uint64_t WMask = lowBitsMask(Width);
-  alignas(SimdBatchAlign) uint64_t Zs[SimdBatchLanes];
-  forEachMember(P, [&](uint64_t X) {
-    for (uint64_t Base = 0; Base < NumYs; Base += SimdBatchLanes) {
-      unsigned N = static_cast<unsigned>(
-          std::min<uint64_t>(SimdBatchLanes, NumYs - Base));
-      if (Fused) {
-        fusedReduceAndOr(Kernels.Tier, Op, /*BatchLhs=*/false, X, Ys + Base,
-                         N, WMask, &AndAcc, &OrAcc);
-      } else {
-        applyConcreteBinaryBatch(Op, X, Ys + Base, Zs, N, Width);
-        Kernels.ReduceAndOr(Zs, N, &AndAcc, &OrAcc);
-      }
-    }
-  });
-  return Tnum(AndAcc, AndAcc ^ OrAcc);
-}
-
-Tnum tnums::optimalAbstractBinaryMembers(BinaryOp Op, unsigned Width,
-                                         const uint64_t *Xs, uint64_t NumXs,
-                                         const uint64_t *Ys, uint64_t NumYs,
-                                         const SimdKernels &Kernels,
-                                         bool AllowFused) {
-  assert(NumXs != 0 && NumYs != 0 &&
-         "gamma of a well-formed tnum is never empty");
-  // Same two reductions as optimalAbstractBinaryBatched, but with both
-  // concretizations memoized as flat lists the batch can run over EITHER
-  // operand -- the AND/OR fold is order-independent, so batching over the
-  // longer axis (instead of always gamma(Q)) keeps the 64-lane kernels
-  // full even when the other concretization is tiny. |gamma| is 2^k, so
-  // one axis always divides evenly into full batches whenever it has
-  // >= 64 members. Bit-identical to the scalar fold for every input.
-  uint64_t AndAcc = ~uint64_t(0);
-  uint64_t OrAcc = 0;
-  const bool Fused = AllowFused && hasFusedSimdKernel(Op, Width);
-  const uint64_t WMask = lowBitsMask(Width);
-  alignas(SimdBatchAlign) uint64_t Zs[SimdBatchLanes];
-  if (NumXs > NumYs) {
-    for (uint64_t YI = 0; YI != NumYs; ++YI) {
-      uint64_t Y = Ys[YI];
-      for (uint64_t Base = 0; Base < NumXs; Base += SimdBatchLanes) {
-        unsigned N = static_cast<unsigned>(
-            std::min<uint64_t>(SimdBatchLanes, NumXs - Base));
-        if (Fused) {
-          fusedReduceAndOr(Kernels.Tier, Op, /*BatchLhs=*/true, Y, Xs + Base,
-                           N, WMask, &AndAcc, &OrAcc);
-        } else {
-          applyConcreteBinaryBatchLhs(Op, Xs + Base, Y, Zs, N, Width);
-          Kernels.ReduceAndOr(Zs, N, &AndAcc, &OrAcc);
-        }
-      }
-    }
-  } else {
-    for (uint64_t XI = 0; XI != NumXs; ++XI) {
-      uint64_t X = Xs[XI];
-      for (uint64_t Base = 0; Base < NumYs; Base += SimdBatchLanes) {
-        unsigned N = static_cast<unsigned>(
-            std::min<uint64_t>(SimdBatchLanes, NumYs - Base));
-        if (Fused) {
-          fusedReduceAndOr(Kernels.Tier, Op, /*BatchLhs=*/false, X, Ys + Base,
-                           N, WMask, &AndAcc, &OrAcc);
-        } else {
-          applyConcreteBinaryBatch(Op, X, Ys + Base, Zs, N, Width);
-          Kernels.ReduceAndOr(Zs, N, &AndAcc, &OrAcc);
-        }
-      }
-    }
-  }
-  return Tnum(AndAcc, AndAcc ^ OrAcc);
 }
 
 std::string OptimalityCounterexample::toString(unsigned Width) const {
@@ -538,7 +49,6 @@ PrecisionReport tnums::measurePrecisionGap(BinaryOp Op, unsigned Width,
   PrecisionReport Report;
   std::vector<Tnum> Universe = allWellFormedTnums(Width);
   const bool Batched = simdModeBatches(Simd);
-  const SimdKernels &Kernels = selectSimdKernels(Simd);
   std::vector<uint64_t> Xs;
   std::vector<uint64_t> Ys;
   for (const Tnum &P : Universe) {
@@ -552,7 +62,7 @@ PrecisionReport tnums::measurePrecisionGap(BinaryOp Op, unsigned Width,
         materializeMembers(Q, Ys);
         Optimal = optimalAbstractBinaryMembers(Op, Width, Xs.data(),
                                                Xs.size(), Ys.data(),
-                                               Ys.size(), Kernels);
+                                               Ys.size());
       } else {
         Optimal = optimalAbstractBinary(Op, P, Q, Width);
       }
@@ -581,7 +91,6 @@ OptimalityReport tnums::checkOptimalityExhaustive(BinaryOp Op, unsigned Width,
   OptimalityReport Report;
   std::vector<Tnum> Universe = allWellFormedTnums(Width);
   const bool Batched = simdModeBatches(Simd);
-  const SimdKernels &Kernels = selectSimdKernels(Simd);
   std::vector<uint64_t> Xs;
   std::vector<uint64_t> Ys;
   for (const Tnum &P : Universe) {
@@ -598,7 +107,7 @@ OptimalityReport tnums::checkOptimalityExhaustive(BinaryOp Op, unsigned Width,
         materializeMembers(Q, Ys);
         Optimal = optimalAbstractBinaryMembers(Op, Width, Xs.data(),
                                                Xs.size(), Ys.data(),
-                                               Ys.size(), Kernels);
+                                               Ys.size());
       } else {
         Optimal = optimalAbstractBinary(Op, P, Q, Width);
       }

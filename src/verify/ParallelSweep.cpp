@@ -12,6 +12,7 @@
 #include "support/Metrics.h"
 #include "support/Trace.h"
 #include "tnum/TnumEnum.h"
+#include "verify/MemberLoops.h"
 
 #include <algorithm>
 #include <atomic>
@@ -143,6 +144,30 @@ SweepGrid tnums::makeSweepGrid(unsigned Width, const SweepConfig &Config) {
   return Grid;
 }
 
+Tnum tnums::optimalAbstractionAt(BinaryOp Op, const SweepGrid &Grid,
+                                 uint64_t Index, SimdMode Simd,
+                                 PairMembers &Staging) {
+  const uint64_t PIndex = Index / Grid.NumTnums;
+  const uint64_t QIndex = Index % Grid.NumTnums;
+  const Tnum &P = Grid.Universe[PIndex];
+  const Tnum &Q = Grid.Universe[QIndex];
+  if (!simdModeBatches(Simd))
+    return optimalAbstractBinary(Op, P, Q, Grid.Width);
+  if (Grid.Members)
+    return optimalAbstractBinaryMembers(
+        Op, Grid.Width, Grid.Members->members(PIndex),
+        Grid.Members->numMembers(PIndex), Grid.Members->members(QIndex),
+        Grid.Members->numMembers(QIndex));
+  if (Staging.XsIndex != PIndex) {
+    materializeMembers(P, Staging.Xs);
+    Staging.XsIndex = PIndex;
+  }
+  materializeMembers(Q, Staging.Ys);
+  return optimalAbstractBinaryMembers(Op, Grid.Width, Staging.Xs.data(),
+                                      Staging.Xs.size(), Staging.Ys.data(),
+                                      Staging.Ys.size());
+}
+
 SoundnessReport tnums::checkSoundnessRangeParallel(
     BinaryOp Concrete, const AbstractBinaryFn &Abstract,
     const SweepGrid &Grid, uint64_t Begin, uint64_t End,
@@ -153,7 +178,6 @@ SoundnessReport tnums::checkSoundnessRangeParallel(
   std::atomic<uint64_t> ConcreteChecked{0};
 
   const bool Batched = simdModeBatches(Config.Simd);
-  const SimdKernels &Kernels = selectSimdKernels(Config.Simd);
   const unsigned Width = Grid.Width;
 
   struct Local {
@@ -176,7 +200,7 @@ SoundnessReport tnums::checkSoundnessRangeParallel(
                   resolveMembers(Grid.Members, Index % Grid.NumTnums, Q,
                                  L.Ys);
               return scanPairMembersBatched(Concrete, Width, P, Q, R, Ys,
-                                            NumYs, Kernels, L.Concrete);
+                                            NumYs, L.Concrete);
             }
             std::optional<SoundnessCounterexample> Violation;
             forEachMember(P, [&](uint64_t X) {
@@ -219,20 +243,12 @@ OptimalityReport tnums::checkOptimalityRangeParallel(
   std::atomic<uint64_t> PairsChecked{0};
   std::atomic<uint64_t> OptimalPairs{0};
 
-  const bool Batched = simdModeBatches(Config.Simd);
-  const bool Memoize = Batched && Config.MemoizeOptimality;
-  const SimdKernels &Kernels = selectSimdKernels(Config.Simd);
   const unsigned Width = Grid.Width;
 
   struct Local {
     uint64_t Pairs = 0;
     uint64_t Optimal = 0;
-    std::vector<uint64_t> Ys;
-    // Per-P member list staged once per row when the member table is not
-    // engaged: chunks walk consecutive indices, so P changes at most
-    // every NumTnums pairs and the refill amortizes across the Q axis.
-    std::vector<uint64_t> Xs;
-    uint64_t XsIndex = UINT64_MAX;
+    PairMembers Staging;
   };
 
   // StopAtFirst selects the soundness cancellation protocol (early exit,
@@ -246,38 +262,8 @@ OptimalityReport tnums::checkOptimalityRangeParallel(
               Local &L) -> std::optional<OptimalityCounterexample> {
             ++L.Pairs;
             Tnum Actual = applyAbstractBinary(Op, P, Q, Width, Mul);
-            Tnum Optimal;
-            if (Memoize) {
-              auto [Ys, NumYs] =
-                  resolveMembers(Grid.Members, Index % Grid.NumTnums, Q,
-                                 L.Ys);
-              const uint64_t *Xs;
-              uint64_t NumXs;
-              uint64_t PIndex = Index / Grid.NumTnums;
-              if (Grid.Members) {
-                Xs = Grid.Members->members(PIndex);
-                NumXs = Grid.Members->numMembers(PIndex);
-              } else {
-                if (L.XsIndex != PIndex) {
-                  materializeMembers(P, L.Xs);
-                  L.XsIndex = PIndex;
-                }
-                Xs = L.Xs.data();
-                NumXs = L.Xs.size();
-              }
-              Optimal = optimalAbstractBinaryMembers(Op, Width, Xs, NumXs,
-                                                     Ys, NumYs, Kernels,
-                                                     Config.FuseOptimality);
-            } else if (Batched) {
-              auto [Ys, NumYs] =
-                  resolveMembers(Grid.Members, Index % Grid.NumTnums, Q,
-                                 L.Ys);
-              Optimal = optimalAbstractBinaryBatched(Op, Width, P, Ys, NumYs,
-                                                     Kernels,
-                                                     Config.FuseOptimality);
-            } else {
-              Optimal = optimalAbstractBinary(Op, P, Q, Width);
-            }
+            Tnum Optimal =
+                optimalAbstractionAt(Op, Grid, Index, Config.Simd, L.Staging);
             if (Actual == Optimal) {
               ++L.Optimal;
               return std::nullopt;
@@ -369,11 +355,6 @@ PrecisionReport tnums::checkPrecisionRangeParallel(
   static ScanMetrics Metrics;
   const uint64_t ScanStartNs = metricsEnabled() ? traceNowNs() : 0;
 
-  const bool Batched = simdModeBatches(Config.Simd);
-  const bool Memoize = Batched && Config.MemoizeOptimality;
-  const SimdKernels &Kernels = selectSimdKernels(Config.Simd);
-  const unsigned Width = Grid.Width;
-
   // Chunk-local accumulators: buckets and sums add order-independently,
   // and each chunk's worst witness carries its pair index so the global
   // pick (greatest gap, then lowest index) equals the serial scan's
@@ -385,9 +366,7 @@ PrecisionReport tnums::checkPrecisionRangeParallel(
     uint64_t Buckets[PrecisionGapBuckets] = {};
     uint64_t WorstIndex = UINT64_MAX;
     std::optional<PrecisionWitness> Worst;
-    std::vector<uint64_t> Ys;
-    std::vector<uint64_t> Xs;
-    uint64_t XsIndex = UINT64_MAX;
+    PairMembers Staging;
   };
 
   std::mutex Mutex;
@@ -402,36 +381,8 @@ PrecisionReport tnums::checkPrecisionRangeParallel(
       const Tnum &Q = Grid.Universe[Index % Grid.NumTnums];
       ++L.Pairs;
       Tnum Actual = Abstract(P, Q);
-      Tnum Optimal;
-      if (Memoize) {
-        auto [Ys, NumYs] =
-            resolveMembers(Grid.Members, Index % Grid.NumTnums, Q, L.Ys);
-        const uint64_t *Xs;
-        uint64_t NumXs;
-        uint64_t PIndex = Index / Grid.NumTnums;
-        if (Grid.Members) {
-          Xs = Grid.Members->members(PIndex);
-          NumXs = Grid.Members->numMembers(PIndex);
-        } else {
-          if (L.XsIndex != PIndex) {
-            materializeMembers(P, L.Xs);
-            L.XsIndex = PIndex;
-          }
-          Xs = L.Xs.data();
-          NumXs = L.Xs.size();
-        }
-        Optimal = optimalAbstractBinaryMembers(Op, Width, Xs, NumXs, Ys,
-                                               NumYs, Kernels,
-                                               Config.FuseOptimality);
-      } else if (Batched) {
-        auto [Ys, NumYs] =
-            resolveMembers(Grid.Members, Index % Grid.NumTnums, Q, L.Ys);
-        Optimal = optimalAbstractBinaryBatched(Op, Width, P, Ys, NumYs,
-                                               Kernels,
-                                               Config.FuseOptimality);
-      } else {
-        Optimal = optimalAbstractBinary(Op, P, Q, Width);
-      }
+      Tnum Optimal =
+          optimalAbstractionAt(Op, Grid, Index, Config.Simd, L.Staging);
       int Gap = std::popcount(Actual.mask()) - std::popcount(Optimal.mask());
       unsigned G = Gap > 0 ? static_cast<unsigned>(Gap) : 0;
       L.SumGap += G;

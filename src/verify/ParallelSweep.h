@@ -72,9 +72,10 @@ struct SweepConfig {
   /// |gamma(P)| * |gamma(Q)| chunk costs.
   uint64_t ChunkPairs = 4096;
 
-  /// Member-scan path (support/SimdBatch.h): batched 64-lane kernels by
-  /// default, SimdMode::Off for the scalar reference. Orthogonal to the
-  /// determinism contract -- every mode produces bit-identical reports.
+  /// Member-scan path (support/SimdBatch.h): the batched member-pair
+  /// loops by default, SimdMode::Off for the scalar reference. Orthogonal
+  /// to the determinism contract -- every mode produces bit-identical
+  /// reports.
   SimdMode Simd = SimdMode::Auto;
 
   /// Budget for memoizing the per-universe member table
@@ -85,21 +86,6 @@ struct SweepConfig {
   /// Zero disables memoization. Bit-identical reports either way.
   uint64_t MemberTableBytesCap = uint64_t(1) << 28;
 
-  /// Optimality scans only: feed the memoized gamma(P) member list
-  /// (from the member table, or staged once per P row) to the batched
-  /// alpha reduction instead of re-enumerating gamma(P) per (P, Q) pair.
-  /// Off selects the legacy per-pair enumeration -- the A/B reference for
-  /// bench/soundness_verification's --compare-optimality. Bit-identical
-  /// reports either way.
-  bool MemoizeOptimality = true;
-
-  /// Optimality scans only: run the fused evaluate-and-reduce alpha loops
-  /// (concrete evaluation and AND/OR accumulation in one register pass,
-  /// no intermediate result buffer) for the operators that have them
-  /// (hasFusedSimdKernel). Off selects the two-pass batch + ReduceAndOr
-  /// path -- the A/B reference for bench/soundness_verification's
-  /// --compare-optimality. Bit-identical reports either way.
-  bool FuseOptimality = true;
 };
 
 /// An abstract binary transfer function as the sweep sees it: inputs are
@@ -127,6 +113,25 @@ struct SweepGrid {
 /// Enumerates the width-\p Width universe and, when \p Config's batched
 /// path and byte cap allow, memoizes the member table.
 SweepGrid makeSweepGrid(unsigned Width, const SweepConfig &Config);
+
+/// Caller-owned staging for optimalAbstractionAt when \p Grid has no
+/// member table: gamma(P) staged once per row (pairs arrive in row-major
+/// order, so the refill amortizes across the Q axis) and gamma(Q)
+/// refilled per pair. One instance per thread.
+struct PairMembers {
+  std::vector<uint64_t> Xs;
+  std::vector<uint64_t> Ys;
+  uint64_t XsIndex = UINT64_MAX;
+};
+
+/// The optimal abstraction alpha(opC(gamma(P), gamma(Q))) of grid pair
+/// \p Index: the reduce loop (verify/MemberLoops.h) over gamma(P) and
+/// gamma(Q), resolved from the member table or staged in \p Staging, or
+/// the scalar reference fold when \p Simd is SimdMode::Off. Shared by the
+/// optimality and precision sweeps and the campaign's failure
+/// re-normalization.
+Tnum optimalAbstractionAt(BinaryOp Op, const SweepGrid &Grid, uint64_t Index,
+                          SimdMode Simd, PairMembers &Staging);
 
 /// Range forms of the three sweeps: scan pair indices [\p Begin, \p End)
 /// of \p Grid under the determinism contract above, restricted to the
@@ -159,9 +164,8 @@ MonotonicityReport checkMonotonicityRangeParallel(
 /// -- buckets and sums add, and the retained Worst witness is the one with
 /// the greatest gap, ties broken by lowest pair index -- so the report is
 /// bit-identical to the serial reference for every thread count, chunk
-/// size, and SIMD tier. Reuses the memoized concretizations and fused
-/// alpha-reduce paths of the optimality sweep (SweepConfig::
-/// MemoizeOptimality / FuseOptimality apply unchanged).
+/// size, and SIMD mode. Shares the optimality sweep's per-pair optimal
+/// abstraction (optimalAbstractionAt).
 PrecisionReport checkPrecisionRangeParallel(BinaryOp Op,
                                             const AbstractBinaryFn &Abstract,
                                             const SweepGrid &Grid,

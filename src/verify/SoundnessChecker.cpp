@@ -11,16 +11,7 @@
 #include "support/Table.h"
 #include "tnum/TnumEnum.h"
 #include "tnum/TnumMembers.h"
-
-#include <algorithm>
-#include <bit>
-
-#if TNUMS_SIMD_HAVE_X86_KERNELS
-#include <immintrin.h>
-#endif
-#if TNUMS_SIMD_HAVE_NEON_KERNELS
-#include <arm_neon.h>
-#endif
+#include "verify/MemberLoops.h"
 
 using namespace tnums;
 
@@ -55,385 +46,6 @@ static bool checkAllMembers(BinaryOp Op, unsigned Width, const Tnum &P,
   return Sound;
 }
 
-//===----------------------------------------------------------------------===//
-// Fused evaluate-and-test scan
-//
-// The generic batched path materializes each batch of concrete results
-// into a stack buffer (applyConcreteBinaryBatch) and then runs the
-// membership kernel over it. For the hot wrap-around operators the two
-// passes fuse: compute Z in a register and compare it in place, skipping
-// the round trip through memory. On a violation only the occupancy mask
-// survives; the caller recomputes the one concrete Z scalar (violations
-// end the whole sweep, so that cost is unobservable).
-//
-// Preconditions shared with scanPairMembersBatched: X and every Ys[j]
-// already fit the width (they are members of width-fitting tnums), which
-// is what lets add/sub/mul get by with a single result mask and the
-// bitwise ops with none.
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-// Op eligibility is the shared hasFusedSimdKernel(Op, Width) predicate in
-// verify/Oracle.h (also used by the fused optimality alpha-reduce); the
-// loops below exist per tier -- AVX2, AVX-512, and NEON -- and every tier
-// computes the same occupancy mask bit for bit.
-
-/// Scalar evaluation of one fused-eligible op, the tail step shared by
-/// every tier's scan loop.
-inline uint64_t fusedScalarEval(BinaryOp Op, uint64_t X, uint64_t Y,
-                                uint64_t WMask) {
-  switch (Op) {
-  case BinaryOp::Add:
-    return (X + Y) & WMask;
-  case BinaryOp::Sub:
-    return (X - Y) & WMask;
-  case BinaryOp::Mul:
-    return (X * Y) & WMask;
-  case BinaryOp::And:
-    return X & Y;
-  case BinaryOp::Or:
-    return X | Y;
-  case BinaryOp::Xor:
-    return X ^ Y;
-  default:
-    assert(false && "op has no fused scan tail");
-    return 0;
-  }
-}
-
-#if TNUMS_SIMD_HAVE_X86_KERNELS
-
-/// Membership test of four already-computed result lanes: the 4-bit
-/// failure mask of Z against (V, NotM), exactly like SimdBatch's
-/// nonMemberMaskAvx2 inner step.
-__attribute__((target("avx2"), always_inline)) inline unsigned
-laneFailures(__m256i Z, __m256i NotMv, __m256i Vv) {
-  __m256i Eq = _mm256_cmpeq_epi64(_mm256_and_si256(Z, NotMv), Vv);
-  unsigned Members =
-      static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(Eq)));
-  return ~Members & 0xF;
-}
-
-/// Fused AVX2 scan: returns the non-member occupancy mask of
-/// opC(X, Ys[j]) against (V, NotM) over N <= 64 lanes, without
-/// materializing the results. Only called for ops where
-/// hasFusedSimdKernel() holds and after cpuHasAvx2() gating.
-__attribute__((target("avx2"))) uint64_t
-fusedNonMemberScanAvx2(BinaryOp Op, uint64_t X, const uint64_t *Ys,
-                       unsigned N, uint64_t WMask, uint64_t V,
-                       uint64_t NotM) {
-  const __m256i Xv = _mm256_set1_epi64x(static_cast<long long>(X));
-  const __m256i WMaskv = _mm256_set1_epi64x(static_cast<long long>(WMask));
-  const __m256i Vv = _mm256_set1_epi64x(static_cast<long long>(V));
-  const __m256i NotMv = _mm256_set1_epi64x(static_cast<long long>(NotM));
-  uint64_t Mask = 0;
-  unsigned I = 0;
-
-  // Per-op vector loops (the dispatch runs once per call, i.e. once per
-  // <= 64 evaluations).
-  switch (Op) {
-  case BinaryOp::Add:
-    for (; I + 4 <= N; I += 4) {
-      __m256i Y = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Ys + I));
-      __m256i Z = _mm256_and_si256(_mm256_add_epi64(Xv, Y), WMaskv);
-      Mask |= uint64_t(laneFailures(Z, NotMv, Vv)) << I;
-    }
-    break;
-  case BinaryOp::Sub:
-    for (; I + 4 <= N; I += 4) {
-      __m256i Y = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Ys + I));
-      __m256i Z = _mm256_and_si256(_mm256_sub_epi64(Xv, Y), WMaskv);
-      Mask |= uint64_t(laneFailures(Z, NotMv, Vv)) << I;
-    }
-    break;
-  case BinaryOp::Mul:
-    // Lanes hold width <= 16 values: the high 32 bits of every lane are
-    // zero, so an 8x32-bit low multiply yields the exact 64-bit products
-    // (odd 32-bit elements multiply 0 * 0).
-    for (; I + 4 <= N; I += 4) {
-      __m256i Y = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Ys + I));
-      __m256i Z = _mm256_and_si256(_mm256_mullo_epi32(Xv, Y), WMaskv);
-      Mask |= uint64_t(laneFailures(Z, NotMv, Vv)) << I;
-    }
-    break;
-  case BinaryOp::And:
-    for (; I + 4 <= N; I += 4) {
-      __m256i Y = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Ys + I));
-      Mask |= uint64_t(laneFailures(_mm256_and_si256(Xv, Y), NotMv, Vv)) << I;
-    }
-    break;
-  case BinaryOp::Or:
-    for (; I + 4 <= N; I += 4) {
-      __m256i Y = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Ys + I));
-      Mask |= uint64_t(laneFailures(_mm256_or_si256(Xv, Y), NotMv, Vv)) << I;
-    }
-    break;
-  case BinaryOp::Xor:
-    for (; I + 4 <= N; I += 4) {
-      __m256i Y = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Ys + I));
-      Mask |= uint64_t(laneFailures(_mm256_xor_si256(Xv, Y), NotMv, Vv)) << I;
-    }
-    break;
-  default:
-    assert(false && "op has no fused scan loop");
-  }
-
-  // Scalar tail (N is rarely a multiple of 4 at small widths).
-  for (; I != N; ++I) {
-    uint64_t Z = fusedScalarEval(Op, X, Ys[I], WMask);
-    Mask |= uint64_t((Z & NotM) != V) << I;
-  }
-  return Mask;
-}
-
-/// Membership test of eight already-computed result lanes: the 8-bit
-/// failure group of Z against (V, NotM). Members compare equal and the
-/// compare writes a mask REGISTER directly (vpcmpeqq %zmm, %zmm, %k) --
-/// the 64->8 lane compression happens in the compare itself, no movemask
-/// shuffling. (A separate function, not a lambda: lambdas do not inherit
-/// the enclosing function's target attribute.)
-__attribute__((target("avx512f,avx512bw"), always_inline)) inline uint64_t
-laneFailures512(__m512i Z, __m512i NotMv, __m512i Vv) {
-  __mmask8 Members = _mm512_cmpeq_epi64_mask(_mm512_and_si512(Z, NotMv), Vv);
-  return uint64_t(static_cast<uint8_t>(~Members));
-}
-
-/// Fused AVX-512 scan: 8 lanes per zmm with the mask-register lane
-/// compression above. Only called for ops where hasFusedSimdKernel()
-/// holds and after cpuHasAvx512() gating.
-__attribute__((target("avx512f,avx512bw"))) uint64_t
-fusedNonMemberScanAvx512(BinaryOp Op, uint64_t X, const uint64_t *Ys,
-                         unsigned N, uint64_t WMask, uint64_t V,
-                         uint64_t NotM) {
-  const __m512i Xv = _mm512_set1_epi64(static_cast<long long>(X));
-  const __m512i WMaskv = _mm512_set1_epi64(static_cast<long long>(WMask));
-  const __m512i Vv = _mm512_set1_epi64(static_cast<long long>(V));
-  const __m512i NotMv = _mm512_set1_epi64(static_cast<long long>(NotM));
-  uint64_t Mask = 0;
-  unsigned I = 0;
-
-  switch (Op) {
-  case BinaryOp::Add:
-    for (; I + 8 <= N; I += 8) {
-      __m512i Y = _mm512_loadu_si512(Ys + I);
-      Mask |= laneFailures512(_mm512_and_si512(_mm512_add_epi64(Xv, Y), WMaskv), NotMv, Vv) << I;
-    }
-    break;
-  case BinaryOp::Sub:
-    for (; I + 8 <= N; I += 8) {
-      __m512i Y = _mm512_loadu_si512(Ys + I);
-      Mask |= laneFailures512(_mm512_and_si512(_mm512_sub_epi64(Xv, Y), WMaskv), NotMv, Vv) << I;
-    }
-    break;
-  case BinaryOp::Mul:
-    // Width <= 16 lanes: high 32 bits zero, so the 32-bit low multiply
-    // yields the exact 64-bit products (odd elements multiply 0 * 0).
-    for (; I + 8 <= N; I += 8) {
-      __m512i Y = _mm512_loadu_si512(Ys + I);
-      Mask |= laneFailures512(_mm512_and_si512(_mm512_mullo_epi32(Xv, Y), WMaskv), NotMv, Vv) << I;
-    }
-    break;
-  case BinaryOp::And:
-    for (; I + 8 <= N; I += 8) {
-      __m512i Y = _mm512_loadu_si512(Ys + I);
-      Mask |= laneFailures512(_mm512_and_si512(Xv, Y), NotMv, Vv) << I;
-    }
-    break;
-  case BinaryOp::Or:
-    for (; I + 8 <= N; I += 8) {
-      __m512i Y = _mm512_loadu_si512(Ys + I);
-      Mask |= laneFailures512(_mm512_or_si512(Xv, Y), NotMv, Vv) << I;
-    }
-    break;
-  case BinaryOp::Xor:
-    for (; I + 8 <= N; I += 8) {
-      __m512i Y = _mm512_loadu_si512(Ys + I);
-      Mask |= laneFailures512(_mm512_xor_si512(Xv, Y), NotMv, Vv) << I;
-    }
-    break;
-  default:
-    assert(false && "op has no fused scan loop");
-  }
-
-  for (; I != N; ++I) {
-    uint64_t Z = fusedScalarEval(Op, X, Ys[I], WMask);
-    Mask |= uint64_t((Z & NotM) != V) << I;
-  }
-  return Mask;
-}
-
-#endif // TNUMS_SIMD_HAVE_X86_KERNELS
-
-#if TNUMS_SIMD_HAVE_NEON_KERNELS
-
-/// Fused NEON scan: 2 qword lanes per q-register; vceqq yields
-/// all-ones-per-member-lane and the lane LSBs fold into the occupancy
-/// mask. Compiled on AArch64 only (Advanced SIMD is baseline there).
-uint64_t fusedNonMemberScanNeon(BinaryOp Op, uint64_t X, const uint64_t *Ys,
-                                unsigned N, uint64_t WMask, uint64_t V,
-                                uint64_t NotM) {
-  const uint64x2_t Xv = vdupq_n_u64(X);
-  const uint64x2_t WMaskv = vdupq_n_u64(WMask);
-  const uint64x2_t Vv = vdupq_n_u64(V);
-  const uint64x2_t NotMv = vdupq_n_u64(NotM);
-  uint64_t Mask = 0;
-  unsigned I = 0;
-
-  auto Fail = [&](uint64x2_t Z) -> uint64_t {
-    uint64x2_t Eq = vceqq_u64(vandq_u64(Z, NotMv), Vv);
-    uint64_t Members =
-        (vgetq_lane_u64(Eq, 0) & 1) | ((vgetq_lane_u64(Eq, 1) & 1) << 1);
-    return ~Members & 0x3;
-  };
-
-  switch (Op) {
-  case BinaryOp::Add:
-    for (; I + 2 <= N; I += 2) {
-      uint64x2_t Y = vld1q_u64(Ys + I);
-      Mask |= Fail(vandq_u64(vaddq_u64(Xv, Y), WMaskv)) << I;
-    }
-    break;
-  case BinaryOp::Sub:
-    for (; I + 2 <= N; I += 2) {
-      uint64x2_t Y = vld1q_u64(Ys + I);
-      Mask |= Fail(vandq_u64(vsubq_u64(Xv, Y), WMaskv)) << I;
-    }
-    break;
-  case BinaryOp::Mul:
-    // NEON has no 64x64 lane multiply; at Width <= 16 a 32-bit lane
-    // multiply of the low halves is exact, mirroring the x86 loops.
-    for (; I + 2 <= N; I += 2) {
-      uint64x2_t Y = vld1q_u64(Ys + I);
-      uint32x4_t Prod =
-          vmulq_u32(vreinterpretq_u32_u64(Xv), vreinterpretq_u32_u64(Y));
-      Mask |= Fail(vandq_u64(vreinterpretq_u64_u32(Prod), WMaskv)) << I;
-    }
-    break;
-  case BinaryOp::And:
-    for (; I + 2 <= N; I += 2) {
-      uint64x2_t Y = vld1q_u64(Ys + I);
-      Mask |= Fail(vandq_u64(Xv, Y)) << I;
-    }
-    break;
-  case BinaryOp::Or:
-    for (; I + 2 <= N; I += 2) {
-      uint64x2_t Y = vld1q_u64(Ys + I);
-      Mask |= Fail(vorrq_u64(Xv, Y)) << I;
-    }
-    break;
-  case BinaryOp::Xor:
-    for (; I + 2 <= N; I += 2) {
-      uint64x2_t Y = vld1q_u64(Ys + I);
-      Mask |= Fail(veorq_u64(Xv, Y)) << I;
-    }
-    break;
-  default:
-    assert(false && "op has no fused scan loop");
-  }
-
-  for (; I != N; ++I) {
-    uint64_t Z = fusedScalarEval(Op, X, Ys[I], WMask);
-    Mask |= uint64_t((Z & NotM) != V) << I;
-  }
-  return Mask;
-}
-
-#endif // TNUMS_SIMD_HAVE_NEON_KERNELS
-
-/// Whether (Kernels, Op, Width) routes through a fused evaluate-and-test
-/// scan instead of the two-pass batch + membership kernel: any
-/// hand-vectorized tier with a fused-eligible op. The portable tier keeps
-/// the two-pass path -- it IS the reference the fused loops are pinned
-/// against.
-bool useFusedScan(const SimdKernels &Kernels, BinaryOp Op, unsigned Width) {
-  if (Kernels.Tier == SimdTier::Portable)
-    return false;
-  return hasFusedSimdKernel(Op, Width);
-}
-
-/// Dispatches one fused scan call to \p Tier's loop. Only called when
-/// useFusedScan() held, which implies the matching kernels were selected
-/// (and therefore the host executes that tier).
-uint64_t fusedNonMemberScan(SimdTier Tier, BinaryOp Op, uint64_t X,
-                            const uint64_t *Ys, unsigned N, uint64_t WMask,
-                            uint64_t V, uint64_t NotM) {
-  switch (Tier) {
-#if TNUMS_SIMD_HAVE_X86_KERNELS
-  case SimdTier::Avx2:
-    return fusedNonMemberScanAvx2(Op, X, Ys, N, WMask, V, NotM);
-  case SimdTier::Avx512:
-    return fusedNonMemberScanAvx512(Op, X, Ys, N, WMask, V, NotM);
-#endif
-#if TNUMS_SIMD_HAVE_NEON_KERNELS
-  case SimdTier::Neon:
-    return fusedNonMemberScanNeon(Op, X, Ys, N, WMask, V, NotM);
-#endif
-  default:
-    assert(false && "fused scan dispatched to a tier without loops");
-    uint64_t Mask = 0;
-    for (unsigned I = 0; I != N; ++I) {
-      uint64_t Z = fusedScalarEval(Op, X, Ys[I], WMask);
-      Mask |= uint64_t((Z & NotM) != V) << I;
-    }
-    return Mask;
-  }
-}
-
-} // namespace
-
-std::optional<SoundnessCounterexample> tnums::scanPairMembersBatched(
-    BinaryOp Op, unsigned Width, const Tnum &P, const Tnum &Q, const Tnum &R,
-    const uint64_t *Ys, uint64_t NumYs, const SimdKernels &Kernels,
-    uint64_t &ConcreteChecked) {
-  if (P.isBottom() || NumYs == 0)
-    return std::nullopt; // Empty gamma on either side: nothing to scan.
-  // (Z & ~R.m) == R.v is Tnum::contains without the well-formedness
-  // branch: an ill-formed R has a value bit inside its mask, making the
-  // compare false in every lane, which is exactly "bottom contains
-  // nothing".
-  const uint64_t V = R.value();
-  const uint64_t NotM = ~R.mask();
-  const uint64_t WMask = lowBitsMask(Width);
-  const bool Fused = useFusedScan(Kernels, Op, Width);
-  alignas(SimdBatchAlign) uint64_t Zs[SimdBatchLanes];
-  std::optional<SoundnessCounterexample> Result;
-  // X walks gamma(P) through the one canonical member enumerator; only
-  // the Y axis is batched. A violation ends the whole sweep, so the
-  // remaining no-op visits after one is found cost nothing that matters.
-  forEachMember(P, [&](uint64_t X) {
-    if (Result)
-      return;
-    for (uint64_t Base = 0; Base < NumYs; Base += SimdBatchLanes) {
-      unsigned N = static_cast<unsigned>(
-          std::min<uint64_t>(SimdBatchLanes, NumYs - Base));
-      uint64_t Bad;
-      if (Fused) {
-        Bad = fusedNonMemberScan(Kernels.Tier, Op, X, Ys + Base, N, WMask, V,
-                                 NotM);
-      } else {
-        applyConcreteBinaryBatch(Op, X, Ys + Base, Zs, N, Width);
-        Bad = Kernels.NonMemberMask(Zs, N, V, NotM);
-      }
-      if (Bad) {
-        // The scalar scan counts each evaluation before testing it, so a
-        // violation at batch offset J has consumed Base + J + 1 of this
-        // X's evaluations.
-        unsigned J = static_cast<unsigned>(std::countr_zero(Bad));
-        uint64_t Y = Ys[Base + J];
-        // The fused path never materializes Z; recompute the single
-        // witness value (a violation terminates the whole sweep).
-        uint64_t Z = Fused ? applyConcreteBinary(Op, X, Y, Width) : Zs[J];
-        ConcreteChecked += Base + J + 1;
-        Result = SoundnessCounterexample{P, Q, X, Y, Z, R};
-        return;
-      }
-    }
-    ConcreteChecked += NumYs;
-  });
-  return Result;
-}
-
 SoundnessReport tnums::checkSoundnessExhaustive(BinaryOp Op, unsigned Width,
                                                 MulAlgorithm Mul,
                                                 SimdMode Simd) {
@@ -442,7 +54,6 @@ SoundnessReport tnums::checkSoundnessExhaustive(BinaryOp Op, unsigned Width,
   SoundnessReport Report;
   std::vector<Tnum> Universe = allWellFormedTnums(Width);
   const bool Batched = simdModeBatches(Simd);
-  const SimdKernels &Kernels = selectSimdKernels(Simd);
   std::vector<uint64_t> Ys;
   for (const Tnum &P : Universe) {
     for (const Tnum &Q : Universe) {
@@ -451,7 +62,7 @@ SoundnessReport tnums::checkSoundnessExhaustive(BinaryOp Op, unsigned Width,
       if (Batched) {
         materializeMembers(Q, Ys);
         Report.Failure = scanPairMembersBatched(Op, Width, P, Q, R, Ys.data(),
-                                                Ys.size(), Kernels,
+                                                Ys.size(),
                                                 Report.ConcreteChecked);
         if (Report.Failure)
           return Report;

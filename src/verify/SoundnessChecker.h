@@ -65,24 +65,10 @@ struct SoundnessReport {
 /// Shift operators additionally require a power-of-two width. \p Simd
 /// selects the member-scan path (support/SimdBatch.h); every mode produces
 /// a bit-identical report -- SimdMode::Off is the scalar reference the
-/// differential tests pin the batched kernels against.
+/// differential tests pin the batched loops against.
 SoundnessReport checkSoundnessExhaustive(BinaryOp Op, unsigned Width,
                                          MulAlgorithm Mul = MulAlgorithm::Our,
                                          SimdMode Simd = SimdMode::Auto);
-
-/// The batched member scan of one (P, Q) cell, shared by the serial and
-/// parallel soundness sweeps. \p Ys must be gamma(\p Q) materialized in
-/// subset-odometer order (tnum/TnumMembers.h) and \p Kernels a backend
-/// from support/SimdBatch.h. Walks X over gamma(P) (outer) against the Y
-/// batches (inner) -- the scalar scan's exact order -- growing
-/// \p ConcreteChecked by exactly what the scalar scan counts (every
-/// evaluation up to and including a violation) and returning the
-/// serial-order-first counterexample, if any.
-std::optional<SoundnessCounterexample>
-scanPairMembersBatched(BinaryOp Op, unsigned Width, const Tnum &P,
-                       const Tnum &Q, const Tnum &R, const uint64_t *Ys,
-                       uint64_t NumYs, const SimdKernels &Kernels,
-                       uint64_t &ConcreteChecked);
 
 /// Randomized refutation campaign at any width (typically 64): draws
 /// \p NumPairs random well-formed tnum pairs and, for each, checks

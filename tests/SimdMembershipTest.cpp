@@ -6,13 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Differential harness pinning the batched SIMD membership path
-/// (support/SimdBatch.h, tnum/TnumMembers.h, the fused scan loops in
-/// verify/SoundnessChecker.cpp) bit-for-bit to the scalar reference
-/// checkers. A hand-vectorized hot path silently diverging from the
-/// reference is the failure mode this file exists to catch, so every
-/// assertion compares full reports -- witnesses AND exact work counters --
-/// not just verdicts.
+/// Differential harness pinning the batched member-pair loops
+/// (verify/MemberLoops.h, over the batch enumeration of
+/// tnum/TnumMembers.h) bit-for-bit to the scalar reference checkers. A
+/// vectorized hot path silently diverging from the reference is the
+/// failure mode this file exists to catch, so every assertion compares
+/// full reports -- witnesses AND exact work counters -- not just verdicts.
 ///
 /// Widths stay in 4..8; the width-8 exhaustive mul campaign is gated
 /// behind TNUMS_SLOW_TESTS=1 like ParallelSweepTest's.
@@ -24,10 +23,12 @@
 #include "tnum/TnumEnum.h"
 #include "tnum/TnumMembers.h"
 #include "tnum/TnumOps.h"
+#include "verify/MemberLoops.h"
 #include "verify/ParallelSweep.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <vector>
 
@@ -98,132 +99,153 @@ TEST(TnumMembers, BottomAndConstantEdgeCases) {
 }
 
 //===----------------------------------------------------------------------===//
-// Kernel differential: every hand-vectorized tier the host can execute
-// must agree with the portable one on every lane count and every bit
-// pattern we can throw at it.
+// Mode parsing: exactly two modes.
 //===----------------------------------------------------------------------===//
-
-void expectTierAgreesWithScalar(const SimdKernels *Tier, const char *What) {
-  if (!Tier)
-    GTEST_SKIP() << "host cannot execute the " << What
-                 << " kernels; portable covers it";
-  const SimdKernels &Scalar = scalarSimdKernels();
-  Xoshiro256 Rng(7);
-  alignas(SimdBatchAlign) uint64_t Z[SimdBatchLanes];
-  for (int Trial = 0; Trial != 500; ++Trial) {
-    unsigned N = 1 + static_cast<unsigned>(Rng.next() % SimdBatchLanes);
-    for (unsigned I = 0; I != N; ++I)
-      Z[I] = Rng.next() & 0xFF; // Small values: frequent (non-)membership.
-    uint64_t M = Rng.next() & 0xFF;
-    uint64_t V = Rng.next() & 0xFF & ~M;
-    uint64_t ScalarMask = Scalar.NonMemberMask(Z, N, V, ~M);
-    uint64_t TierMask = Tier->NonMemberMask(Z, N, V, ~M);
-    ASSERT_EQ(ScalarMask, TierMask) << What << " N=" << N;
-    if (N < SimdBatchLanes) { // Bits at and above N must stay clear.
-      EXPECT_EQ(ScalarMask >> N, 0u);
-    }
-
-    uint64_t AndS = ~uint64_t(0), OrS = 0, AndV = ~uint64_t(0), OrV = 0;
-    Scalar.ReduceAndOr(Z, N, &AndS, &OrS);
-    Tier->ReduceAndOr(Z, N, &AndV, &OrV);
-    EXPECT_EQ(AndS, AndV) << What;
-    EXPECT_EQ(OrS, OrV) << What;
-  }
-}
-
-TEST(SimdKernels, Avx2AgreesWithScalarOnRandomBatches) {
-  expectTierAgreesWithScalar(avx2SimdKernels(), "avx2");
-}
-
-TEST(SimdKernels, Avx512AgreesWithScalarOnRandomBatches) {
-  expectTierAgreesWithScalar(avx512SimdKernels(), "avx512");
-}
-
-TEST(SimdKernels, NeonAgreesWithScalarOnRandomBatches) {
-  expectTierAgreesWithScalar(neonSimdKernels(), "neon");
-}
 
 TEST(SimdKernels, ModeParsingIsTotal) {
   EXPECT_EQ(parseSimdMode("auto"), SimdMode::Auto);
-  EXPECT_EQ(parseSimdMode("on"), SimdMode::On); // Legacy alias of auto.
   EXPECT_EQ(parseSimdMode("off"), SimdMode::Off);
-  EXPECT_EQ(parseSimdMode("portable"), SimdMode::Portable);
-  EXPECT_EQ(parseSimdMode("avx2"), SimdMode::Avx2);
-  EXPECT_EQ(parseSimdMode("avx512"), SimdMode::Avx512);
-  EXPECT_EQ(parseSimdMode("neon"), SimdMode::Neon);
-  EXPECT_EQ(parseSimdMode("fast"), std::nullopt);
-  EXPECT_EQ(parseSimdMode("AVX2"), std::nullopt); // Spellings are exact.
-  for (SimdMode Mode : {SimdMode::Auto, SimdMode::On, SimdMode::Off,
-                        SimdMode::Portable, SimdMode::Avx2, SimdMode::Avx512,
-                        SimdMode::Neon}) {
+  for (SimdMode Mode : {SimdMode::Auto, SimdMode::Off})
     EXPECT_EQ(parseSimdMode(simdModeName(Mode)), Mode);
-  }
-}
-
-TEST(SimdKernels, ModeResolutionIsTotal) {
-  // Off and Portable always resolve to the portable kernels (which keep
-  // the historical "scalar" name).
-  EXPECT_STREQ(selectSimdKernels(SimdMode::Off).Name, "scalar");
-  EXPECT_STREQ(selectSimdKernels(SimdMode::Portable).Name, "scalar");
-  EXPECT_EQ(selectSimdKernels(SimdMode::Portable).Tier, SimdTier::Portable);
-
-  // On/Auto resolve identically to the best tier the host supports
-  // (avx512 > avx2 > neon > portable).
-  EXPECT_STREQ(selectSimdKernels(SimdMode::On).Name,
-               selectSimdKernels(SimdMode::Auto).Name);
-  if (cpuHasAvx512())
-    EXPECT_STREQ(selectSimdKernels(SimdMode::Auto).Name, "avx512");
-  else if (cpuHasAvx2())
-    EXPECT_STREQ(selectSimdKernels(SimdMode::Auto).Name, "avx2");
-  else if (cpuHasNeon())
-    EXPECT_STREQ(selectSimdKernels(SimdMode::Auto).Name, "neon");
-  else
-    EXPECT_STREQ(selectSimdKernels(SimdMode::Auto).Name, "scalar");
-
-  // A forced tier resolves to its own kernels when the host supports it
-  // and falls back to the portable kernels (silently -- reports are
-  // bit-identical across tiers) when it does not. simdModeSupported is
-  // how front ends turn the fallback into a hard error.
-  struct ForcedTier {
-    SimdMode Mode;
-    bool Supported;
-    const char *Name;
-    SimdTier Tier;
-  };
-  const ForcedTier Forced[] = {
-      {SimdMode::Avx2, cpuHasAvx2(), "avx2", SimdTier::Avx2},
-      {SimdMode::Avx512, cpuHasAvx512(), "avx512", SimdTier::Avx512},
-      {SimdMode::Neon, cpuHasNeon(), "neon", SimdTier::Neon},
-  };
-  for (const ForcedTier &F : Forced) {
-    SCOPED_TRACE(F.Name);
-    EXPECT_EQ(simdModeSupported(F.Mode), F.Supported);
-    const SimdKernels &K = selectSimdKernels(F.Mode);
-    if (F.Supported) {
-      EXPECT_STREQ(K.Name, F.Name);
-      EXPECT_EQ(K.Tier, F.Tier);
-    } else {
-      EXPECT_STREQ(K.Name, "scalar");
-      EXPECT_EQ(K.Tier, SimdTier::Portable);
-    }
-  }
-
-  // The non-forced modes are supported everywhere, and the supported-mode
-  // diagnostic list always offers the portable spellings.
-  for (SimdMode Mode :
-       {SimdMode::Auto, SimdMode::On, SimdMode::Off, SimdMode::Portable})
-    EXPECT_TRUE(simdModeSupported(Mode));
-  std::string Supported = supportedSimdModeList();
-  EXPECT_NE(Supported.find("auto"), std::string::npos);
-  EXPECT_NE(Supported.find("portable"), std::string::npos);
-  EXPECT_EQ(Supported.find("avx2") != std::string::npos, cpuHasAvx2());
-  EXPECT_EQ(Supported.find("avx512") != std::string::npos, cpuHasAvx512());
-  EXPECT_EQ(Supported.find("neon") != std::string::npos, cpuHasNeon());
+  // The retired tier names and the legacy alias are rejected, as is
+  // anything else; spellings are exact.
+  for (const char *Text :
+       {"on", "portable", "avx2", "avx512", "neon", "fast", "AUTO", ""})
+    EXPECT_EQ(parseSimdMode(Text), std::nullopt) << Text;
 }
 
 //===----------------------------------------------------------------------===//
-// Pair-scan differential: the batched scan of one (P, Q) cell -- the fused
-// AVX2 loops included -- must reproduce the scalar scan's counterexample
+// Loop differential: the scan and reduce loops against the scalar
+// reference, for every operator, every batch length, and widths on both
+// sides of the 32/64-bit multiply boundary.
+//===----------------------------------------------------------------------===//
+
+/// Widths of the loop differential: a sweep width, both sides of the
+/// 32-bit lane multiply boundary, and the full word.
+constexpr unsigned LoopWidths[] = {4, 16, 17, 64};
+
+/// Shift semantics are only defined at power-of-two widths.
+bool opRunsAtWidth(BinaryOp Op, unsigned Width) {
+  return !isShiftOp(Op) || (Width & (Width - 1)) == 0;
+}
+
+/// The scan loop over one batch: scanPairMembersBatched with a constant
+/// P, so gamma(P) = {X} and \p Ys is the batch. Checks the serial-order
+/// first failing lane, its witness and the evaluation count against the
+/// scalar reference, and returns that lane (N when every lane is a
+/// member).
+unsigned expectScanMatchesScalar(BinaryOp Op, unsigned Width, uint64_t X,
+                                 const uint64_t *Ys, unsigned N,
+                                 const Tnum &R) {
+  unsigned First = 0;
+  while (First != N && R.contains(applyConcreteBinary(Op, X, Ys[First], Width)))
+    ++First;
+  uint64_t Checked = 0;
+  std::optional<SoundnessCounterexample> Failure =
+      scanPairMembersBatched(Op, Width, Tnum::makeConstant(X),
+                             Tnum::makeUnknown(Width), R, Ys, N, Checked);
+  EXPECT_EQ(Failure.has_value(), First != N);
+  EXPECT_EQ(Checked, First == N ? N : First + 1);
+  if (Failure && First != N) {
+    EXPECT_EQ(Failure->X, X);
+    EXPECT_EQ(Failure->Y, Ys[First]);
+    EXPECT_EQ(Failure->Z, applyConcreteBinary(Op, X, Ys[First], Width));
+  }
+  return First;
+}
+
+TEST(MemberLoops, ScanMatchesScalarReference) {
+  Xoshiro256 Rng(20221015);
+  uint64_t Ys[SimdBatchLanes];
+  for (unsigned Width : LoopWidths) {
+    const uint64_t WMask = lowBitsMask(Width);
+    for (BinaryOp Op : AllBinaryOps) {
+      if (!opRunsAtWidth(Op, Width))
+        continue;
+      SCOPED_TRACE(std::string(binaryOpName(Op)) + " width " +
+                   std::to_string(Width));
+      for (unsigned N = 1; N <= SimdBatchLanes; ++N) {
+        SCOPED_TRACE("N=" + std::to_string(N));
+        // Random lanes against alpha of their results (every lane a
+        // member), a random R, and bottom (no lane a member).
+        for (int Trial = 0; Trial != 4; ++Trial) {
+          uint64_t X = Rng.next() & WMask;
+          Tnum All = Tnum::makeBottom();
+          for (unsigned J = 0; J != N; ++J) {
+            Ys[J] = Rng.next() & WMask;
+            All = abstractInsert(All,
+                                 applyConcreteBinary(Op, X, Ys[J], Width));
+          }
+          EXPECT_EQ(expectScanMatchesScalar(Op, Width, X, Ys, N, All), N);
+          expectScanMatchesScalar(Op, Width, X, Ys, N,
+                                  randomWellFormedTnum(Rng, Width));
+          EXPECT_EQ(expectScanMatchesScalar(Op, Width, X, Ys, N,
+                                            Tnum::makeBottom()),
+                    0u);
+        }
+        // One failing lane at each position K: every other lane evaluates
+        // to the constant R, lane K to something else.
+        for (unsigned K = 0; K != N; ++K) {
+          uint64_t X, Y0, Y1, Z0;
+          do {
+            X = Rng.next() & WMask;
+            Y0 = Rng.next() & WMask;
+            Y1 = Rng.next() & WMask;
+            Z0 = applyConcreteBinary(Op, X, Y0, Width);
+          } while (applyConcreteBinary(Op, X, Y1, Width) == Z0);
+          std::fill(Ys, Ys + N, Y0);
+          Ys[K] = Y1;
+          EXPECT_EQ(expectScanMatchesScalar(Op, Width, X, Ys, N,
+                                            Tnum::makeConstant(Z0)),
+                    K);
+        }
+      }
+    }
+  }
+}
+
+TEST(MemberLoops, ReduceMatchesScalarReferenceOnBothSides) {
+  // optimalAbstractBinaryMembers batches over the longer list, so a
+  // one-member gamma(P) puts the batch on the rhs and a one-member
+  // gamma(Q) puts it on the lhs.
+  Xoshiro256 Rng(20221016);
+  uint64_t Batch[SimdBatchLanes];
+  for (unsigned Width : LoopWidths) {
+    const uint64_t WMask = lowBitsMask(Width);
+    for (BinaryOp Op : AllBinaryOps) {
+      if (!opRunsAtWidth(Op, Width))
+        continue;
+      SCOPED_TRACE(std::string(binaryOpName(Op)) + " width " +
+                   std::to_string(Width));
+      for (unsigned N = 1; N <= SimdBatchLanes; ++N) {
+        for (int Trial = 0; Trial != 4; ++Trial) {
+          uint64_t Fixed = Rng.next() & WMask;
+          for (unsigned J = 0; J != N; ++J)
+            Batch[J] = Rng.next() & WMask;
+          for (bool BatchLhs : {false, true}) {
+            Tnum Expected = Tnum::makeBottom();
+            for (unsigned J = 0; J != N; ++J)
+              Expected = abstractInsert(
+                  Expected,
+                  BatchLhs ? applyConcreteBinary(Op, Batch[J], Fixed, Width)
+                           : applyConcreteBinary(Op, Fixed, Batch[J], Width));
+            Tnum Reduced =
+                BatchLhs ? optimalAbstractBinaryMembers(Op, Width, Batch, N,
+                                                        &Fixed, 1)
+                         : optimalAbstractBinaryMembers(Op, Width, &Fixed, 1,
+                                                        Batch, N);
+            ASSERT_EQ(Reduced, Expected)
+                << "N=" << N << (BatchLhs ? " batch lhs" : " batch rhs");
+          }
+        }
+      }
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Pair-scan differential: the batched scan of one (P, Q) cell must
+// reproduce the scalar scan's counterexample
 // and exact evaluation count on membership-violating R as well as sound R.
 //===----------------------------------------------------------------------===//
 
@@ -258,9 +280,7 @@ ScalarScanResult scanPairScalar(BinaryOp Op, unsigned Width, const Tnum &P,
 TEST(BatchedPairScan, AgreesWithScalarScanOnRandomCells) {
   Xoshiro256 Rng(99);
   std::vector<uint64_t> Ys;
-  const SimdKernels &Kernels = selectSimdKernels(SimdMode::Auto);
-  // Ops with fused AVX2 loops and ops without (div goes through the
-  // generic batch + membership kernel path).
+  // Lane-parallel ops and one per-lane op (div).
   const BinaryOp Ops[] = {BinaryOp::Add, BinaryOp::Mul, BinaryOp::Xor,
                           BinaryOp::Div};
   for (unsigned Width = 4; Width <= 8; ++Width) {
@@ -277,7 +297,7 @@ TEST(BatchedPairScan, AgreesWithScalarScanOnRandomCells) {
         uint64_t Checked = 0;
         std::optional<SoundnessCounterexample> Failure =
             scanPairMembersBatched(Op, Width, P, Q, R, Ys.data(), Ys.size(),
-                                   Kernels, Checked);
+                                   Checked);
         ASSERT_EQ(Reference.Failure.has_value(), Failure.has_value())
             << binaryOpName(Op) << " width " << Width;
         EXPECT_EQ(Reference.ConcreteChecked, Checked);
@@ -292,27 +312,20 @@ TEST(BatchedPairScan, AgreesWithScalarScanOnRandomCells) {
 }
 
 //===----------------------------------------------------------------------===//
-// Whole-report equivalence: SimdMode::On and SimdMode::Off must produce
+// Whole-report equivalence: SimdMode::Auto and SimdMode::Off must produce
 // bit-identical SoundnessReport / OptimalityReport contents.
 //===----------------------------------------------------------------------===//
 
 TEST(SimdSweep, SerialSoundnessBitIdenticalAcrossModesAtWidth4) {
-  // Forced tiers the host lacks silently fall back to portable, so every
-  // mode -- including neon on x86 or avx512 on an old Xeon -- must still
-  // reproduce the scalar reference report exactly.
   for (BinaryOp Op : AllBinaryOps) {
     SCOPED_TRACE(binaryOpName(Op));
     SoundnessReport Off =
         checkSoundnessExhaustive(Op, 4, MulAlgorithm::Our, SimdMode::Off);
-    for (SimdMode Mode : {SimdMode::On, SimdMode::Portable, SimdMode::Avx2,
-                          SimdMode::Avx512, SimdMode::Neon}) {
-      SCOPED_TRACE(simdModeName(Mode));
-      SoundnessReport On =
-          checkSoundnessExhaustive(Op, 4, MulAlgorithm::Our, Mode);
-      EXPECT_EQ(Off.holds(), On.holds());
-      EXPECT_EQ(Off.PairsChecked, On.PairsChecked);
-      EXPECT_EQ(Off.ConcreteChecked, On.ConcreteChecked);
-    }
+    SoundnessReport On =
+        checkSoundnessExhaustive(Op, 4, MulAlgorithm::Our, SimdMode::Auto);
+    EXPECT_EQ(Off.holds(), On.holds());
+    EXPECT_EQ(Off.PairsChecked, On.PairsChecked);
+    EXPECT_EQ(Off.ConcreteChecked, On.ConcreteChecked);
   }
 }
 
@@ -322,7 +335,7 @@ TEST(SimdSweep, SerialOptimalityBitIdenticalAcrossModesAtWidth4) {
     OptimalityReport Off = checkOptimalityExhaustive(
         Op, 4, MulAlgorithm::Our, /*StopAtFirst=*/false, SimdMode::Off);
     OptimalityReport On = checkOptimalityExhaustive(
-        Op, 4, MulAlgorithm::Our, /*StopAtFirst=*/false, SimdMode::On);
+        Op, 4, MulAlgorithm::Our, /*StopAtFirst=*/false, SimdMode::Auto);
     EXPECT_EQ(Off.PairsChecked, On.PairsChecked);
     EXPECT_EQ(Off.OptimalPairs, On.OptimalPairs);
     ASSERT_EQ(Off.Failure.has_value(), On.Failure.has_value());
@@ -336,30 +349,22 @@ TEST(SimdSweep, SerialOptimalityBitIdenticalAcrossModesAtWidth4) {
 }
 
 TEST(SimdSweep, BatchedOptimalAbstractionMatchesScalarFold) {
+  // Every operator at the power-of-two sweep widths (so the shifts run).
   Xoshiro256 Rng(5);
-  std::vector<uint64_t> Ys;
-  for (unsigned Width = 4; Width <= 8; ++Width) {
+  std::vector<uint64_t> Xs, Ys;
+  for (unsigned Width : {4u, 8u}) {
     for (int Trial = 0; Trial != 200; ++Trial) {
       Tnum P = randomWellFormedTnum(Rng, Width);
       Tnum Q = randomWellFormedTnum(Rng, Width);
+      materializeMembers(P, Xs);
       materializeMembers(Q, Ys);
-      // Sub exercises the operand-order flip in the fused BatchLhs loops;
-      // Div has no fused kernel and pins the two-pass path.
-      for (BinaryOp Op :
-           {BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul, BinaryOp::Div}) {
+      for (BinaryOp Op : AllBinaryOps) {
         Tnum Scalar = optimalAbstractBinary(Op, P, Q, Width);
-        for (SimdMode Mode : {SimdMode::Off, SimdMode::On, SimdMode::Portable,
-                              SimdMode::Avx2, SimdMode::Avx512,
-                              SimdMode::Neon}) {
-          for (bool AllowFused : {true, false}) {
-            Tnum Batched = optimalAbstractBinaryBatched(
-                Op, Width, P, Ys.data(), Ys.size(), selectSimdKernels(Mode),
-                AllowFused);
-            EXPECT_EQ(Scalar, Batched)
-                << binaryOpName(Op) << " width " << Width << " mode "
-                << simdModeName(Mode) << (AllowFused ? " fused" : " unfused");
-          }
-        }
+        Tnum Batched = optimalAbstractBinaryMembers(
+            Op, Width, Xs.data(), Xs.size(), Ys.data(), Ys.size());
+        EXPECT_EQ(Scalar, Batched)
+            << binaryOpName(Op) << " width " << Width << " P="
+            << P.toString(Width) << " Q=" << Q.toString(Width);
       }
     }
   }
@@ -368,8 +373,8 @@ TEST(SimdSweep, BatchedOptimalAbstractionMatchesScalarFold) {
 TEST(SimdSweep, MemoizedOptimalAbstractionMatchesScalarFoldOnBothAxes) {
   // optimalAbstractBinaryMembers batches over whichever axis is longer;
   // with |gamma(P)| > |gamma(Q)| the FIXED operand is the rhs, which is
-  // the BatchLhs=true fused loops (the operand-order flip matters only
-  // for Sub, but every fused op goes through the flipped loop shape).
+  // the batch-lhs reduce loop (the operand order matters for Sub and
+  // Div).
   Xoshiro256 Rng(11);
   std::vector<uint64_t> Xs, Ys;
   for (unsigned Width = 4; Width <= 8; ++Width) {
@@ -381,28 +386,21 @@ TEST(SimdSweep, MemoizedOptimalAbstractionMatchesScalarFoldOnBothAxes) {
       for (BinaryOp Op :
            {BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul, BinaryOp::Div}) {
         Tnum Scalar = optimalAbstractBinary(Op, P, Q, Width);
-        for (SimdMode Mode :
-             {SimdMode::Off, SimdMode::On, SimdMode::Portable}) {
-          for (bool AllowFused : {true, false}) {
-            Tnum Memoized = optimalAbstractBinaryMembers(
-                Op, Width, Xs.data(), Xs.size(), Ys.data(), Ys.size(),
-                selectSimdKernels(Mode), AllowFused);
-            EXPECT_EQ(Scalar, Memoized)
-                << binaryOpName(Op) << " width " << Width << " mode "
-                << simdModeName(Mode) << (AllowFused ? " fused" : " unfused")
-                << " |gamma(P)|=" << Xs.size() << " |gamma(Q)|=" << Ys.size();
-          }
-        }
+        Tnum Memoized = optimalAbstractBinaryMembers(
+            Op, Width, Xs.data(), Xs.size(), Ys.data(), Ys.size());
+        EXPECT_EQ(Scalar, Memoized)
+            << binaryOpName(Op) << " width " << Width
+            << " |gamma(P)|=" << Xs.size() << " |gamma(Q)|=" << Ys.size();
       }
     }
   }
 }
 
 TEST(SimdSweep, FusedOptimalityBitIdenticalAcrossSchedulersAndModes) {
-  // The fused evaluate-and-reduce alpha loops must never change a report:
-  // cross FuseOptimality x simd mode x three scheduler shapes against the
-  // serial scalar reference. Sub exercises the non-commutative fused
-  // path; Mul the width-gated one; Div has no fused kernels at all.
+  // The fused evaluate-and-reduce loop must never change a report: cross
+  // simd mode x three scheduler shapes against the serial scalar
+  // reference. Sub exercises the operand order; Mul the 32-bit lane
+  // multiply; Div the per-lane path.
   constexpr unsigned Width = 4;
   const SweepConfig Schedulers[] = {
       {/*NumThreads=*/1, /*ChunkPairs=*/1},
@@ -414,24 +412,20 @@ TEST(SimdSweep, FusedOptimalityBitIdenticalAcrossSchedulersAndModes) {
     SCOPED_TRACE(binaryOpName(Op));
     OptimalityReport Reference = checkOptimalityExhaustive(
         Op, Width, MulAlgorithm::Our, /*StopAtFirst=*/false, SimdMode::Off);
-    for (SimdMode Mode : {SimdMode::Off, SimdMode::Portable, SimdMode::Auto}) {
-      for (bool Fuse : {true, false}) {
-        for (SweepConfig Config : Schedulers) {
-          Config.Simd = Mode;
-          Config.FuseOptimality = Fuse;
-          OptimalityReport Report = checkOptimalityExhaustiveParallel(
-              Op, Width, MulAlgorithm::Our, Config);
-          SCOPED_TRACE(std::string(simdModeName(Mode)) +
-                       (Fuse ? " fused" : " unfused"));
-          EXPECT_EQ(Reference.PairsChecked, Report.PairsChecked);
-          EXPECT_EQ(Reference.OptimalPairs, Report.OptimalPairs);
-          ASSERT_EQ(Reference.Failure.has_value(), Report.Failure.has_value());
-          if (Reference.Failure) {
-            EXPECT_EQ(Reference.Failure->P, Report.Failure->P);
-            EXPECT_EQ(Reference.Failure->Q, Report.Failure->Q);
-            EXPECT_EQ(Reference.Failure->Actual, Report.Failure->Actual);
-            EXPECT_EQ(Reference.Failure->Optimal, Report.Failure->Optimal);
-          }
+    for (SimdMode Mode : {SimdMode::Off, SimdMode::Auto}) {
+      for (SweepConfig Config : Schedulers) {
+        Config.Simd = Mode;
+        OptimalityReport Report = checkOptimalityExhaustiveParallel(
+            Op, Width, MulAlgorithm::Our, Config);
+        SCOPED_TRACE(simdModeName(Mode));
+        EXPECT_EQ(Reference.PairsChecked, Report.PairsChecked);
+        EXPECT_EQ(Reference.OptimalPairs, Report.OptimalPairs);
+        ASSERT_EQ(Reference.Failure.has_value(), Report.Failure.has_value());
+        if (Reference.Failure) {
+          EXPECT_EQ(Reference.Failure->P, Report.Failure->P);
+          EXPECT_EQ(Reference.Failure->Q, Report.Failure->Q);
+          EXPECT_EQ(Reference.Failure->Actual, Report.Failure->Actual);
+          EXPECT_EQ(Reference.Failure->Optimal, Report.Failure->Optimal);
         }
       }
     }
@@ -476,8 +470,7 @@ TEST(SimdSweep, BrokenOperatorWitnessDeterministicAcrossSchedulersAndModes) {
       {/*NumThreads=*/8, /*ChunkPairs=*/4096},
       {/*NumThreads=*/0, /*ChunkPairs=*/257},
   };
-  for (SimdMode Mode : {SimdMode::Off, SimdMode::On, SimdMode::Auto,
-                        SimdMode::Portable}) {
+  for (SimdMode Mode : {SimdMode::Off, SimdMode::Auto}) {
     for (SweepConfig Config : Schedulers) {
       Config.Simd = Mode;
       SoundnessReport Report = checkSoundnessExhaustiveParallel(
@@ -542,9 +535,9 @@ void expectMulCampaignBitIdentical(unsigned Width) {
         checkSoundnessExhaustive(BinaryOp::Mul, Width, Alg, SimdMode::Off);
     // SIMD path, serial and parallel scheduling.
     SoundnessReport Simd =
-        checkSoundnessExhaustive(BinaryOp::Mul, Width, Alg, SimdMode::On);
+        checkSoundnessExhaustive(BinaryOp::Mul, Width, Alg, SimdMode::Auto);
     SweepConfig Config;
-    Config.Simd = SimdMode::On;
+    Config.Simd = SimdMode::Auto;
     SoundnessReport Parallel =
         checkSoundnessExhaustiveParallel(BinaryOp::Mul, Width, Alg, Config);
     for (const SoundnessReport *Report : {&Simd, &Parallel}) {
