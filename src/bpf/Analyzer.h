@@ -75,7 +75,7 @@ public:
 
   /// An unbound engine for analyzing a stream of programs via
   /// analyze(Prog, Opts). Construct once per worker and reuse: the CFG
-  /// edge storage, the fixpoint worklist scratch and the per-point state
+  /// order storage, the fixpoint worklist scratch and the per-point state
   /// table are recycled across programs, which is the per-worker
   /// amortization the batch service (service/VerificationService.h)
   /// relies on.

@@ -12,74 +12,69 @@
 using namespace tnums;
 using namespace tnums::bpf;
 
-void Cfg::rebuild(const Program &Prog) {
-  assert(!Prog.validate() && "building CFG of an invalid program");
-  size_t N = Prog.size();
-  // Clear-in-place instead of assign, and never shrink the outer vectors
-  // (size() reports NumInsns, not Succs.size()): the inner edge vectors
-  // keep their capacity across a stream of variably sized programs, so a
-  // long-lived engine stops allocating after its high-water program (the
-  // batch service's per-worker amortization).
-  NumInsns = N;
-  if (Succs.size() < N) {
-    Succs.resize(N);
-    Preds.resize(N);
+size_t Cfg::successorsOf(size_t Pc, size_t Out[2]) const {
+  const Insn &I = Prog->insn(Pc);
+  switch (I.InsnKind) {
+  case Insn::Kind::Exit:
+    return 0;
+  case Insn::Kind::Ja:
+    Out[0] = Program::jumpTarget(Pc, I);
+    return 1;
+  case Insn::Kind::Jmp:
+    Out[0] = Pc + 1; // Fall-through first.
+    Out[1] = Program::jumpTarget(Pc, I);
+    return Out[1] != Pc + 1 ? 2 : 1;
+  default:
+    Out[0] = Pc + 1;
+    return 1;
   }
-  for (size_t Pc = 0; Pc != N; ++Pc) {
-    Succs[Pc].clear();
-    Preds[Pc].clear();
+}
+
+std::vector<size_t> Cfg::successors(size_t Pc) const {
+  size_t Out[2];
+  return std::vector<size_t>(Out, Out + successorsOf(Pc, Out));
+}
+
+std::vector<size_t> Cfg::predecessors(size_t Pc) const {
+  std::vector<size_t> Preds;
+  size_t Out[2];
+  for (size_t From = 0, N = size(); From != N; ++From) {
+    size_t NumSuccs = successorsOf(From, Out);
+    if (std::find(Out, Out + NumSuccs, Pc) != Out + NumSuccs)
+      Preds.push_back(From);
   }
-  Reachable.assign(N, false);
+  return Preds;
+}
+
+void Cfg::rebuild(const Program &ProgV) {
+  assert(!ProgV.validate() && "building CFG of an invalid program");
+  Prog = &ProgV;
+  // Iterative DFS from entry computing post-order and back-edge (loop)
+  // detection, visiting successors in successors() order. The order and
+  // traversal scratch are assigned in place, so a long-lived engine stops
+  // allocating after its high-water program.
+  Colors.assign(ProgV.size(), Color::White);
   Rpo.clear();
   Loop = false;
-
-  for (size_t Pc = 0; Pc != N; ++Pc) {
-    const Insn &I = Prog.insn(Pc);
-    switch (I.InsnKind) {
-    case Insn::Kind::Exit:
-      break;
-    case Insn::Kind::Ja:
-      Succs[Pc].push_back(Program::jumpTarget(Pc, I));
-      break;
-    case Insn::Kind::Jmp:
-      Succs[Pc].push_back(Pc + 1); // Fall-through first.
-      if (Program::jumpTarget(Pc, I) != Pc + 1)
-        Succs[Pc].push_back(Program::jumpTarget(Pc, I));
-      break;
-    default:
-      Succs[Pc].push_back(Pc + 1);
-      break;
-    }
-    for (size_t Succ : Succs[Pc])
-      Preds[Succ].push_back(Pc);
-  }
-
-  // Iterative DFS from entry computing post-order and back-edge (loop)
-  // detection. The traversal scratch lives on the object so rebuild()
-  // reuses its capacity along with the edge vectors.
-  Colors.assign(N, Color::White);
-  PostOrder.clear();
   Stack.clear();
   Stack.emplace_back(0, 0);
   Colors[0] = Color::Grey;
-  Reachable[0] = true;
+  size_t Out[2];
   while (!Stack.empty()) {
     auto &[Node, NextSucc] = Stack.back();
-    if (NextSucc < Succs[Node].size()) {
-      size_t Succ = Succs[Node][NextSucc++];
+    if (NextSucc < successorsOf(Node, Out)) {
+      size_t Succ = Out[NextSucc++];
       if (Colors[Succ] == Color::Grey)
         Loop = true;
       if (Colors[Succ] == Color::White) {
         Colors[Succ] = Color::Grey;
-        Reachable[Succ] = true;
         Stack.emplace_back(Succ, 0);
       }
       continue;
     }
     Colors[Node] = Color::Black;
-    PostOrder.push_back(Node);
+    Rpo.push_back(Node); // Post-order, reversed below.
     Stack.pop_back();
   }
-
-  Rpo.assign(PostOrder.rbegin(), PostOrder.rend());
+  std::reverse(Rpo.begin(), Rpo.end());
 }

@@ -19,6 +19,8 @@
 
 #include "support/Bits.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -88,6 +90,41 @@ private:
   uint64_t Max;
   bool Bottom;
 };
+
+// The constructor and the lattice operations are defined here so that the
+// reduced product's sync, join and order check inline them; see
+// docs/DOMAIN.md.
+
+inline Interval::Interval(uint64_t MinV, uint64_t MaxV)
+    : Min(MinV), Max(MaxV), Bottom(false) {
+  assert(MinV <= MaxV && "inverted interval; use makeBottom for empty");
+}
+
+inline bool Interval::isSubsetOf(const Interval &Q) const {
+  if (Bottom)
+    return true;
+  if (Q.Bottom)
+    return false;
+  return Q.Min <= Min && Max <= Q.Max;
+}
+
+inline Interval Interval::joinWith(const Interval &Q) const {
+  if (Bottom)
+    return Q;
+  if (Q.Bottom)
+    return *this;
+  return Interval(std::min(Min, Q.Min), std::max(Max, Q.Max));
+}
+
+inline Interval Interval::meetWith(const Interval &Q) const {
+  if (Bottom || Q.Bottom)
+    return makeBottom();
+  uint64_t NewMin = std::max(Min, Q.Min);
+  uint64_t NewMax = std::min(Max, Q.Max);
+  if (NewMin > NewMax)
+    return makeBottom();
+  return Interval(NewMin, NewMax);
+}
 
 /// Abstract addition at \p Width; top on possible wrap-around.
 Interval intervalAdd(const Interval &P, const Interval &Q, unsigned Width);

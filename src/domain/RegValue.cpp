@@ -34,34 +34,6 @@ RegValue::RegValue(Tnum T, Interval U, SignedRange S, unsigned WidthV)
   sync();
 }
 
-RegValue::RegValue(Tnum T, Interval U, SignedRange S, unsigned WidthV,
-                   bool BottomV)
-    : TnumPart(T), UnsignedPart(U), SignedPart(S), Width(WidthV),
-      Bottom(BottomV) {
-  assert(Width >= 1 && Width <= MaxBitWidth && "width out of range");
-}
-
-// Top, bottom and constants are already in normal form, so their
-// factories skip sync(); tests/AnalyzerEngineTest.cpp checks that sync()
-// leaves each of them unchanged.
-RegValue RegValue::makeTop(unsigned Width) {
-  return RegValue(Tnum::makeUnknown(Width), Interval::makeTop(Width),
-                  SignedRange::makeTop(Width), Width, /*BottomV=*/false);
-}
-
-RegValue RegValue::makeBottom(unsigned Width) {
-  return RegValue(Tnum::makeBottom(), Interval::makeBottom(),
-                  SignedRange::makeBottom(), Width, /*BottomV=*/true);
-}
-
-RegValue RegValue::makeConstant(uint64_t C, unsigned Width) {
-  uint64_t Truncated = truncateToWidth(C, Width);
-  return RegValue(Tnum::makeConstant(Truncated),
-                  Interval::makeConstant(Truncated),
-                  SignedRange::makeConstant(signExtend(Truncated, Width)),
-                  Width, /*BottomV=*/false);
-}
-
 RegValue RegValue::fromTnum(Tnum T, unsigned Width) {
   assert(T.fitsWidth(Width) && "tnum wider than requested width");
   if (T.isBottom())
@@ -88,17 +60,6 @@ bool RegValue::contains(uint64_t V) const {
   uint64_t Truncated = truncateToWidth(V, Width);
   return TnumPart.contains(Truncated) && UnsignedPart.contains(Truncated) &&
          SignedPart.contains(signExtend(Truncated, Width));
-}
-
-bool RegValue::isSubsetOf(const RegValue &Q) const {
-  assert(Width == Q.Width && "width mismatch");
-  if (Bottom)
-    return true;
-  if (Q.Bottom)
-    return false;
-  return TnumPart.isSubsetOf(Q.TnumPart) &&
-         UnsignedPart.isSubsetOf(Q.UnsignedPart) &&
-         SignedPart.isSubsetOf(Q.SignedPart);
 }
 
 RegValue RegValue::joinWith(const RegValue &Q) const {
@@ -168,15 +129,6 @@ std::string RegValue::toString() const {
                       TnumPart.toString(Width).c_str(),
                       UnsignedPart.toString().c_str(),
                       SignedPart.toString().c_str());
-}
-
-bool tnums::operator==(const RegValue &A, const RegValue &B) {
-  if (A.Width != B.Width)
-    return false;
-  if (A.Bottom || B.Bottom)
-    return A.Bottom == B.Bottom;
-  return A.TnumPart == B.TnumPart && A.UnsignedPart == B.UnsignedPart &&
-         A.SignedPart == B.SignedPart;
 }
 
 bool RegValue::reduceOnce() {

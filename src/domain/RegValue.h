@@ -24,6 +24,7 @@
 #include "tnum/Tnum.h"
 #include "verify/Oracle.h"
 
+#include <cassert>
 #include <string>
 
 namespace tnums {
@@ -34,7 +35,7 @@ class RegValue;
 /// computing every component and reducing. Widths must match.
 RegValue applyBinary(BinaryOp Op, const RegValue &L, const RegValue &R);
 
-bool operator==(const RegValue &A, const RegValue &B);
+inline bool operator==(const RegValue &A, const RegValue &B);
 
 /// Reduced product Tnum × Interval × SignedRange at a fixed bit width.
 /// All mutating operations keep the three components mutually consistent
@@ -138,6 +139,58 @@ private:
   unsigned Width;
   bool Bottom;
 };
+
+// The normal-form constructor, the factories that use it, the order and
+// equality are defined here so that the analyzer's joins and order checks
+// inline them; see docs/DOMAIN.md.
+
+inline RegValue::RegValue(Tnum T, Interval U, SignedRange S, unsigned WidthV,
+                          bool BottomV)
+    : TnumPart(T), UnsignedPart(U), SignedPart(S), Width(WidthV),
+      Bottom(BottomV) {
+  assert(Width >= 1 && Width <= MaxBitWidth && "width out of range");
+}
+
+// Top, bottom and constants are already in normal form, so their
+// factories skip sync(); tests/AnalyzerEngineTest.cpp checks that sync()
+// leaves each of them unchanged.
+inline RegValue RegValue::makeTop(unsigned Width) {
+  return RegValue(Tnum::makeUnknown(Width), Interval::makeTop(Width),
+                  SignedRange::makeTop(Width), Width, /*BottomV=*/false);
+}
+
+inline RegValue RegValue::makeBottom(unsigned Width) {
+  return RegValue(Tnum::makeBottom(), Interval::makeBottom(),
+                  SignedRange::makeBottom(), Width, /*BottomV=*/true);
+}
+
+inline RegValue RegValue::makeConstant(uint64_t C, unsigned Width) {
+  uint64_t Truncated = truncateToWidth(C, Width);
+  return RegValue(Tnum::makeConstant(Truncated),
+                  Interval::makeConstant(Truncated),
+                  SignedRange::makeConstant(signExtend(Truncated, Width)),
+                  Width, /*BottomV=*/false);
+}
+
+inline bool RegValue::isSubsetOf(const RegValue &Q) const {
+  assert(Width == Q.Width && "width mismatch");
+  if (Bottom)
+    return true;
+  if (Q.Bottom)
+    return false;
+  return TnumPart.isSubsetOf(Q.TnumPart) &&
+         UnsignedPart.isSubsetOf(Q.UnsignedPart) &&
+         SignedPart.isSubsetOf(Q.SignedPart);
+}
+
+inline bool operator==(const RegValue &A, const RegValue &B) {
+  if (A.Width != B.Width)
+    return false;
+  if (A.Bottom || B.Bottom)
+    return A.Bottom == B.Bottom;
+  return A.TnumPart == B.TnumPart && A.UnsignedPart == B.UnsignedPart &&
+         A.SignedPart == B.SignedPart;
+}
 
 inline bool operator!=(const RegValue &A, const RegValue &B) {
   return !(A == B);

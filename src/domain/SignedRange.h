@@ -18,6 +18,8 @@
 
 #include "support/Bits.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <string>
 
@@ -75,6 +77,49 @@ private:
   int64_t Max;
   bool Bottom;
 };
+
+// Top, the constructor and the lattice operations are defined here so that
+// the reduced product's sync, join and order check inline them; see
+// docs/DOMAIN.md.
+
+inline SignedRange SignedRange::makeTop(unsigned Width) {
+  assert(Width >= 1 && Width <= MaxBitWidth && "width out of range");
+  if (Width == MaxBitWidth)
+    return SignedRange(INT64_MIN, INT64_MAX);
+  int64_t Half = int64_t(1) << (Width - 1);
+  return SignedRange(-Half, Half - 1);
+}
+
+inline SignedRange::SignedRange(int64_t MinV, int64_t MaxV)
+    : Min(MinV), Max(MaxV), Bottom(false) {
+  assert(MinV <= MaxV && "inverted range; use makeBottom for empty");
+}
+
+inline bool SignedRange::isSubsetOf(const SignedRange &Q) const {
+  if (Bottom)
+    return true;
+  if (Q.Bottom)
+    return false;
+  return Q.Min <= Min && Max <= Q.Max;
+}
+
+inline SignedRange SignedRange::joinWith(const SignedRange &Q) const {
+  if (Bottom)
+    return Q;
+  if (Q.Bottom)
+    return *this;
+  return SignedRange(std::min(Min, Q.Min), std::max(Max, Q.Max));
+}
+
+inline SignedRange SignedRange::meetWith(const SignedRange &Q) const {
+  if (Bottom || Q.Bottom)
+    return makeBottom();
+  int64_t NewMin = std::max(Min, Q.Min);
+  int64_t NewMax = std::min(Max, Q.Max);
+  if (NewMin > NewMax)
+    return makeBottom();
+  return SignedRange(NewMin, NewMax);
+}
 
 /// Abstract signed addition at \p Width; top on possible signed overflow.
 SignedRange signedAdd(const SignedRange &P, const SignedRange &Q,

@@ -34,6 +34,14 @@ constexpr const char *ManifestName = "verdicts.manifest";
 constexpr const char *ManifestMagic = "tnums-verdict-cache v1";
 constexpr const char *EntryMagic = "tnums-verdict-entry v1";
 
+/// FNV-1a of a request's canonical encoding: the cache key, hashed from
+/// bytes the caller has already built.
+uint64_t canonicalKey(const std::string &Canonical) {
+  Fnv1a Hash;
+  Hash.mixString(Canonical);
+  return Hash.digest();
+}
+
 std::optional<std::string> readFile(const std::string &Path) {
   std::FILE *File = std::fopen(Path.c_str(), "rb");
   if (!File)
@@ -150,9 +158,7 @@ uint64_t tnums::service::analyzerVerdictFingerprint() {
 }
 
 uint64_t tnums::service::verdictCacheKey(const VerifyRequest &Request) {
-  Fnv1a Hash;
-  Hash.mixString(encodeRequestCanonical(Request));
-  return Hash.digest();
+  return canonicalKey(encodeRequestCanonical(Request));
 }
 
 std::string VerdictCache::entryPath(uint64_t Key) const {
@@ -291,7 +297,7 @@ void VerdictCache::evictOverCapLocked() {
 std::optional<VerifyResult>
 VerdictCache::lookup(const VerifyRequest &Request) {
   std::string Canonical = encodeRequestCanonical(Request);
-  uint64_t Key = verdictCacheKey(Request);
+  uint64_t Key = canonicalKey(Canonical);
 
   std::lock_guard<std::mutex> Lock(Mutex);
   ++Stats.Lookups;
@@ -366,7 +372,7 @@ VerdictCache::lookup(const VerifyRequest &Request) {
 bool VerdictCache::store(const VerifyRequest &Request,
                          const VerifyResult &Result, std::string &Error) {
   std::string Canonical = encodeRequestCanonical(Request);
-  uint64_t Key = verdictCacheKey(Request);
+  uint64_t Key = canonicalKey(Canonical);
 
   // Persist only the wire verdict fields; KeepStates tables are
   // per-batch debugging aids, not verdicts.

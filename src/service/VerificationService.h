@@ -15,7 +15,7 @@
 /// sweeps.
 ///
 /// Work is scheduled as chunks of consecutive request indices; each pool
-/// worker owns one long-lived Analyzer whose CFG edge storage and fixpoint
+/// worker owns one long-lived Analyzer whose CFG order storage and fixpoint
 /// scratch are recycled across the programs it processes (per-worker
 /// amortization).
 ///

@@ -29,6 +29,7 @@
 
 #include "support/Bits.h"
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <optional>
@@ -189,6 +190,58 @@ private:
   uint64_t Value;
   uint64_t Mask;
 };
+
+// The lattice leaf operations below are a handful of ALU instructions
+// each, and the reduced product (domain/RegValue.h) runs them on every
+// sync, join and order check of the analyzer's fixpoint. They are defined
+// here so that those callers inline them; see docs/DOMAIN.md.
+
+inline Tnum Tnum::makeRange(uint64_t Min, uint64_t Max) {
+  assert(Min <= Max && "empty range");
+  // Kernel tnum_range(): keep the bits shared by every value in [Min, Max]
+  // (the common prefix above the highest bit where Min and Max differ) and
+  // mark everything below as unknown.
+  uint64_t Chi = Min ^ Max;
+  unsigned Bits = MaxBitWidth - static_cast<unsigned>(std::countl_zero(Chi));
+  if (Bits > 63)
+    return makeUnknown();
+  uint64_t Delta = (uint64_t(1) << Bits) - 1;
+  return Tnum(Min & ~Delta, Delta);
+}
+
+inline bool Tnum::isSubsetOf(const Tnum &Q) const {
+  if (isBottom())
+    return true;
+  if (Q.isBottom())
+    return false;
+  // Eqn. 2: every trit known in Q must be known with the same value in P,
+  // and every unknown trit of P must be unknown in Q.
+  if ((Mask & ~Q.Mask) != 0)
+    return false;
+  return ((Value ^ Q.Value) & ~Q.Mask) == 0;
+}
+
+inline Tnum Tnum::joinWith(const Tnum &Q) const {
+  if (isBottom())
+    return Q.isBottom() ? makeBottom() : Q;
+  if (Q.isBottom())
+    return *this;
+  // A trit stays known only if both sides know it and agree on it.
+  uint64_t NewMask = Mask | Q.Mask | (Value ^ Q.Value);
+  return Tnum(Value & ~NewMask, NewMask);
+}
+
+inline Tnum Tnum::meetWith(const Tnum &Q) const {
+  if (isBottom() || Q.isBottom())
+    return makeBottom();
+  // A contradiction (some bit known 0 on one side and known 1 on the other)
+  // makes the intersection empty.
+  if (((Value ^ Q.Value) & ~Mask & ~Q.Mask) != 0)
+    return makeBottom();
+  uint64_t NewValue = Value | Q.Value;
+  uint64_t NewMask = Mask & Q.Mask;
+  return Tnum(NewValue & ~NewMask, NewMask);
+}
 
 } // namespace tnums
 

@@ -8,8 +8,11 @@
 #include "bpf/Builder.h"
 #include "bpf/Cfg.h"
 #include "bpf/Interpreter.h"
+#include "service/ProgramGen.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace tnums;
 using namespace tnums::bpf;
@@ -144,6 +147,121 @@ TEST(CfgTest, UnreachableCode) {
   Cfg G(P);
   EXPECT_FALSE(G.isReachable(1));
   EXPECT_TRUE(G.isReachable(2));
+}
+
+/// The CFG facts Cfg computes, recomputed from scratch: a recursive DFS
+/// from entry over edges read off the instructions with
+/// Program::jumpTarget, fall-through first.
+struct ReferenceCfg {
+  std::vector<std::vector<size_t>> Succs;
+  std::vector<size_t> Rpo;
+  std::vector<bool> Reachable;
+  bool Loop = false;
+
+  explicit ReferenceCfg(const Program &P)
+      : Succs(P.size()), Reachable(P.size(), false), OnStack(P.size()) {
+    for (size_t Pc = 0; Pc != P.size(); ++Pc) {
+      const Insn &I = P.insn(Pc);
+      size_t Target = Program::jumpTarget(Pc, I);
+      if (I.InsnKind == Insn::Kind::Ja)
+        Succs[Pc] = {Target};
+      else if (I.InsnKind == Insn::Kind::Jmp && Target != Pc + 1)
+        Succs[Pc] = {Pc + 1, Target};
+      else if (I.InsnKind != Insn::Kind::Exit)
+        Succs[Pc] = {Pc + 1};
+    }
+    visit(0);
+    std::reverse(Rpo.begin(), Rpo.end());
+  }
+
+private:
+  std::vector<bool> OnStack;
+
+  void visit(size_t Pc) {
+    Reachable[Pc] = true;
+    OnStack[Pc] = true;
+    for (size_t Succ : Succs[Pc]) {
+      if (OnStack[Succ])
+        Loop = true;
+      else if (!Reachable[Succ])
+        visit(Succ);
+    }
+    OnStack[Pc] = false;
+    Rpo.push_back(Pc); // Post-order until the constructor reverses it.
+  }
+};
+
+/// Checks \p G, built for \p P, against the reference DFS, and checks
+/// that predecessors() is exactly the ascending inverse of successors().
+void expectMatchesReference(const Cfg &G, const Program &P) {
+  ReferenceCfg Ref(P);
+  ASSERT_EQ(G.size(), P.size());
+  EXPECT_EQ(G.reversePostOrder(), Ref.Rpo);
+  EXPECT_EQ(G.hasLoop(), Ref.Loop);
+  std::vector<std::vector<size_t>> Inverse(P.size());
+  for (size_t Pc = 0; Pc != P.size(); ++Pc) {
+    EXPECT_EQ(G.isReachable(Pc), Ref.Reachable[Pc]) << "pc " << Pc;
+    EXPECT_EQ(G.successors(Pc), Ref.Succs[Pc]) << "pc " << Pc;
+    for (size_t Succ : G.successors(Pc))
+      Inverse[Succ].push_back(Pc); // Pc ascends, so each list does too.
+  }
+  for (size_t Pc = 0; Pc != P.size(); ++Pc)
+    EXPECT_EQ(G.predecessors(Pc), Inverse[Pc]) << "pc " << Pc;
+}
+
+TEST(CfgTest, MatchesReferenceDfsOnEveryFamilyAndMutants) {
+  using service::GenOptions;
+  using service::GenProfile;
+  using service::ProgramGen;
+  // One long-lived Cfg rebuilt across the whole stream, as the analyzer
+  // uses it, next to a fresh one per program.
+  Cfg Recycled;
+  size_t Looping = 0;
+  for (GenProfile Family :
+       {GenProfile::AluMix, GenProfile::BoundsCheck, GenProfile::PacketFilter,
+        GenProfile::Loops, GenProfile::MaskIdx, GenProfile::Scaled}) {
+    for (uint64_t Seed : {1u, 2u, 3u, 424242u}) {
+      GenOptions Opts;
+      Opts.Profile = Family;
+      ProgramGen Gen(Seed, Opts);
+      for (int I = 0; I != 20; ++I) {
+        Program Base = Gen.next();
+        for (const Program &P : {Base, Gen.mutate(Base)}) {
+          SCOPED_TRACE(std::string(service::genProfileName(Family)) +
+                       " seed " + std::to_string(Seed) + " program " +
+                       std::to_string(I) + "\n" + P.disassemble());
+          ASSERT_FALSE(P.validate().has_value());
+          expectMatchesReference(Cfg(P), P);
+          Recycled.rebuild(P);
+          expectMatchesReference(Recycled, P);
+          Looping += Recycled.hasLoop();
+        }
+      }
+    }
+  }
+  EXPECT_GT(Looping, 0u); // The loop family reaches the back-edge path.
+
+  // Shapes the generator never emits: a conditional jump to its own
+  // fall-through (one edge, not two) and dead code after a ja.
+  for (const Program &P :
+       {ProgramBuilder()
+            .movImm(R0, 0)
+            .jmpImm(CompareOp::Eq, R0, 0, "next")
+            .label("next")
+            .exit()
+            .build(),
+        ProgramBuilder()
+            .ja("end")
+            .movImm(R0, 1)
+            .label("end")
+            .movImm(R0, 0)
+            .exit()
+            .build()}) {
+    SCOPED_TRACE(P.disassemble());
+    expectMatchesReference(Cfg(P), P);
+    Recycled.rebuild(P);
+    expectMatchesReference(Recycled, P);
+  }
 }
 
 //===----------------------------------------------------------------------===//
