@@ -222,8 +222,6 @@ int main(int Argc, char **Argv) {
       const DispatchMode Modes[] = {DispatchMode::Switch,
                                     DispatchMode::Threaded};
       for (DispatchMode Mode : Modes) {
-        if (Mode == DispatchMode::Threaded && !threadedDispatchAvailable())
-          continue;
         WorkB = Mem;
         ExecResult RD = Decoded->run(WorkB, StepLimit, Mode);
         bool Same = RL.St == RD.St && RL.ReturnValue == RD.ReturnValue &&
@@ -326,9 +324,8 @@ int main(int Argc, char **Argv) {
   Engines.emplace_back("legacy", RunLegacy);
   Engines.emplace_back("decoded-switch",
                        [&] { return RunDecoded(DispatchMode::Switch); });
-  if (threadedDispatchAvailable())
-    Engines.emplace_back("decoded-threaded",
-                         [&] { return RunDecoded(DispatchMode::Threaded); });
+  Engines.emplace_back("decoded-threaded",
+                       [&] { return RunDecoded(DispatchMode::Threaded); });
 
   // Each engine runs a burst of two back-to-back passes per round, both
   // timed: the first re-warms the branch predictors after the other

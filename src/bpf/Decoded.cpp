@@ -6,10 +6,11 @@
 //===----------------------------------------------------------------------===//
 //
 // decode() lowers validated Insns into flat DInsn records whose Op field
-// indexes the specialized handlers in DecodedBody.inc; run() executes
-// them with computed-goto threaded dispatch (GCC/Clang) or a portable
-// switch loop. The handler bodies live in DecodedBody.inc and are
-// included once per dispatch mode, so the two modes cannot drift.
+// indexes the specialized handlers in DecodedBody.inc, then fuses the
+// generated loops' hot groups; run() executes them with computed-goto
+// threaded dispatch or, for the differential tests, a switch loop. The
+// handler bodies live in DecodedBody.inc and are included once per
+// dispatch mode, so the two modes cannot drift.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,12 +21,6 @@
 
 #include <cassert>
 #include <cstring>
-
-#if defined(__GNUC__) || defined(__clang__)
-#define TNUMS_HAVE_COMPUTED_GOTO 1
-#else
-#define TNUMS_HAVE_COMPUTED_GOTO 0
-#endif
 
 using namespace tnums;
 using namespace tnums::bpf;
@@ -87,47 +82,20 @@ namespace {
   TNUMS_DOP_FUSE_LIST(X)
 
 // Fused superinstructions: decode() rewrites the FIRST record of a hot
-// adjacent pair to one of these opcodes, executing both instructions in a
-// single dispatch. The second record keeps its original opcode (its
-// operands are read via I[1] after the mid-pair step), so jumps into the
-// middle of a pair execute it standalone and nothing changes observably:
-// per-instruction step counting, trap pcs, and the step-limit check
-// between the two halves are all preserved. The families target the
-// generated hot paths: mov+mask, address+load, value+induction updates,
-// induction+back-edge, and the mov+exit epilogue.
+// group of adjacent instructions to one of these opcodes, executing the
+// whole group in a single dispatch. The records behind it keep their
+// original opcodes (the handler reads their operands via I[k] after each
+// mid-group step), so jumps into the middle of a group execute them
+// standalone and nothing changes observably: per-instruction step
+// counting, trap pcs, and the step-limit check between slots are all
+// preserved. Every family removes dispatches from a generated loop:
+//   - aluimm+addimm+jlt: an up-counting loop's body, induction and
+//     back-edge;
+//   - whole iterations (up-counting masked, down-counting masked, and
+//     down-counting random-body, one per ALU op);
+//   - the tied variants (T) of the two masked iterations, whose fast path
+//     falls back to the generic group's handler.
 #define TNUMS_DOP_FUSE_LIST(X)                                                 \
-  X(FuseMovRegAddImm64) X(FuseMovRegSubImm64) X(FuseMovRegMulImm64)            \
-  X(FuseMovRegDivImm64) X(FuseMovRegModImm64) X(FuseMovRegAndImm64)            \
-  X(FuseMovRegOrImm64) X(FuseMovRegXorImm64) X(FuseMovRegLshImm64)             \
-  X(FuseMovRegRshImm64) X(FuseMovRegArshImm64)                                 \
-  X(FuseAddRegLoad1) X(FuseAddRegLoad2) X(FuseAddRegLoad4) X(FuseAddRegLoad8)  \
-  X(FuseAddRegAddImm64) X(FuseAddRegSubImm64)                                  \
-  X(FuseSubRegAddImm64) X(FuseSubRegSubImm64)                                  \
-  X(FuseMulRegAddImm64) X(FuseMulRegSubImm64)                                  \
-  X(FuseDivRegAddImm64) X(FuseDivRegSubImm64)                                  \
-  X(FuseModRegAddImm64) X(FuseModRegSubImm64)                                  \
-  X(FuseAndRegAddImm64) X(FuseAndRegSubImm64)                                  \
-  X(FuseOrRegAddImm64) X(FuseOrRegSubImm64)                                    \
-  X(FuseXorRegAddImm64) X(FuseXorRegSubImm64)                                  \
-  X(FuseLshRegAddImm64) X(FuseLshRegSubImm64)                                  \
-  X(FuseRshRegAddImm64) X(FuseRshRegSubImm64)                                  \
-  X(FuseArshRegAddImm64) X(FuseArshRegSubImm64)                                \
-  X(FuseAddImmJmpEqImm64) X(FuseSubImmJmpEqImm64)                              \
-  X(FuseAddImmJmpNeImm64) X(FuseSubImmJmpNeImm64)                              \
-  X(FuseAddImmJmpLtImm64) X(FuseSubImmJmpLtImm64)                              \
-  X(FuseAddImmJmpLeImm64) X(FuseSubImmJmpLeImm64)                              \
-  X(FuseAddImmJmpGtImm64) X(FuseSubImmJmpGtImm64)                              \
-  X(FuseAddImmJmpGeImm64) X(FuseSubImmJmpGeImm64)                              \
-  X(FuseAddImmJmpSLtImm64) X(FuseSubImmJmpSLtImm64)                            \
-  X(FuseAddImmJmpSLeImm64) X(FuseSubImmJmpSLeImm64)                            \
-  X(FuseAddImmJmpSGtImm64) X(FuseSubImmJmpSGtImm64)                            \
-  X(FuseAddImmJmpSGeImm64) X(FuseSubImmJmpSGeImm64)                            \
-  X(FuseAddImmJmpSetImm64) X(FuseSubImmJmpSetImm64)                            \
-  X(FuseAddImmJa) X(FuseSubImmJa)                                              \
-  X(FuseMovRegExit) X(FuseMovImmMovImm64)                                      \
-  X(FuseLoad1XorReg64) X(FuseLoad1AndImm64)                                    \
-  X(FuseMovRegAndImmAddReg64) X(FuseAddRegSubImmJa)                            \
-  X(FuseMaskedByteAccum)                                                       \
   X(FuseAddImmAddImmJmpLt) X(FuseSubImmAddImmJmpLt)                            \
   X(FuseMulImmAddImmJmpLt) X(FuseDivImmAddImmJmpLt)                            \
   X(FuseModImmAddImmJmpLt) X(FuseAndImmAddImmJmpLt)                            \
@@ -168,68 +136,17 @@ static_assert(DJmpSetReg64 ==
                   DJmpEqReg64 + static_cast<unsigned>(CompareOp::Set) * 4,
               "jump opcode blocks follow CompareOp order");
 static_assert(DJa == 107 && DExit == 108, "plain opcode count");
-static_assert(DFuseMovRegAddImm64 == 109 && DFuseMovRegArshImm64 == 119,
-              "mov+aluimm fused block follows AluOp order");
-static_assert(DFuseAddRegLoad1 == 120 && DFuseAddRegLoad8 == 123,
-              "addreg+load fused block is ordered by log2(size)");
-static_assert(DFuseAddRegAddImm64 == 124 && DFuseArshRegSubImm64 == 145,
-              "alureg+{add,sub}imm fused block is AluOp-major, add-then-sub");
-static_assert(DFuseAddImmJmpEqImm64 == 146 && DFuseSubImmJmpSetImm64 == 167,
-              "{add,sub}imm+jmpimm fused block is CompareOp-major");
-static_assert(DFuseAddImmJa == 168 && DFuseSubImmJa == 169 &&
-                  DFuseMovRegExit == 170 && DFuseMovImmMovImm64 == 171 &&
-                  DFuseLoad1XorReg64 == 172 && DFuseLoad1AndImm64 == 173 &&
-                  DFuseMovRegAndImmAddReg64 == 174 &&
-                  DFuseAddRegSubImmJa == 175 && DFuseMaskedByteAccum == 176,
-              "fused opcode count");
-static_assert(DFuseAddImmAddImmJmpLt == 177 &&
-                  DFuseArshImmAddImmJmpLt == 187,
+static_assert(DFuseAddImmAddImmJmpLt == 109 &&
+                  DFuseArshImmAddImmJmpLt == 119,
               "aluimm+addimm+jmplt fused block follows AluOp order");
-static_assert(DFuseMaskedAccumJmpLt == 188 && DFuseDownMaskedIter == 189 &&
-                  DFuseDownRandAdd == 190 && DFuseDownRandArsh == 200,
+static_assert(DFuseMaskedAccumJmpLt == 120 && DFuseDownMaskedIter == 121 &&
+                  DFuseDownRandAdd == 122 && DFuseDownRandArsh == 132,
               "whole-iteration fused block follows AluOp order");
-static_assert(DFuseMaskedAccumJmpLtT == 201 && DFuseDownMaskedIterT == 202,
+static_assert(DFuseMaskedAccumJmpLtT == 133 && DFuseDownMaskedIterT == 134,
               "tied whole-iteration variants close the opcode space");
-
-/// The fused opcode executing \p A then \p B in one dispatch, or 0xFF
-/// when the pair is not a fusion candidate. Mirrors the
-/// TNUMS_DOP_FUSE_LIST layout pinned above.
-inline uint8_t fusedOpcode(uint8_t A, uint8_t B) {
-  // mov rd, rs; <aluop> rd2, imm
-  if (A == DMovReg64 && B < DMovReg64 && (B & 3) == 1)
-    return static_cast<uint8_t>(DFuseMovRegAddImm64 + (B >> 2));
-  // add rd, rs; ldx rd2, [rs2 + off]
-  if (A == DAddReg64 && B >= DLoad1 && B <= DLoad8)
-    return static_cast<uint8_t>(DFuseAddRegLoad1 + (B - DLoad1));
-  // <aluop> rd, rs; {add,sub} rd2, imm
-  if (A < DMovReg64 && (A & 3) == 0 && (B == DAddImm64 || B == DSubImm64))
-    return static_cast<uint8_t>(DFuseAddRegAddImm64 + (A >> 2) * 2 +
-                                (B == DSubImm64 ? 1 : 0));
-  // {add,sub} rd, imm; j<cmp> rd2, imm2, target
-  if ((A == DAddImm64 || A == DSubImm64) && B >= DJmpEqImm64 &&
-      B <= DJmpSetImm32 && ((B - DJmpEqReg64) & 3) == 1)
-    return static_cast<uint8_t>(DFuseAddImmJmpEqImm64 +
-                                ((B - DJmpEqReg64) >> 2) * 2 +
-                                (A == DSubImm64 ? 1 : 0));
-  // {add,sub} rd, imm; ja target
-  if ((A == DAddImm64 || A == DSubImm64) && B == DJa)
-    return static_cast<uint8_t>(DFuseAddImmJa + (A == DSubImm64 ? 1 : 0));
-  // mov rd, rs; exit
-  if (A == DMovReg64 && B == DExit)
-    return static_cast<uint8_t>(DFuseMovRegExit);
-  // mov rd, imm; mov rd2, imm2
-  if (A == DMovImm64 && B == DMovImm64)
-    return static_cast<uint8_t>(DFuseMovImmMovImm64);
-  // ldx rd, [rs + off] (1 byte); xor rd2, rs2 -- the generated masked
-  // loop body's accumulate step.
-  if (A == DLoad1 && B == DXorReg64)
-    return static_cast<uint8_t>(DFuseLoad1XorReg64);
-  // ldx rd, [rs + off] (1 byte); and rd2, imm -- load-byte-then-mask, the
-  // generated down-counting loop's trip-count setup.
-  if (A == DLoad1 && B == DAndImm64)
-    return static_cast<uint8_t>(DFuseLoad1AndImm64);
-  return 0xFF;
-}
+static_assert(DecodedProgram::FirstFusedOp == DFuseAddImmAddImmJmpLt &&
+                  DecodedProgram::OpCount == DFuseDownMaskedIterT + 1,
+              "Decoded.h publishes the fused opcode range");
 
 /// Resolves the access [Addr, Addr + Size) to a host pointer inside the
 /// context region or the stack, or nullptr when out of bounds -- the same
@@ -346,9 +263,9 @@ inline uint8_t *spanAt(uint8_t *MemData, uint64_t MemSize, uint8_t *StackData,
 //===----------------------------------------------------------------------===//
 
 // Statement bodies shared between the standalone handlers and the fused
-// superinstructions (each fused handler is body1 + TNUMS_FUSE + body2, so
-// the two can never drift). A body performs its init checks (trapping at
-// the current I) and the state update, but no dispatch.
+// groups (each fused handler is body1 + TNUMS_FUSE + body2 + ..., so fused
+// and unfused execution can never drift). A body performs its init checks
+// (trapping at the current I) and the state update, but no dispatch.
 
 #define TNUMS_BODY_ALU_REG64(NAME)                                             \
   if (!TNUMS_INITED(I->Src))                                                   \
@@ -366,10 +283,6 @@ inline uint8_t *spanAt(uint8_t *MemData, uint64_t MemSize, uint8_t *StackData,
   if (!TNUMS_INITED(I->Src))                                                   \
     TNUMS_TRAP(UninitRead, "read of uninit reg");                              \
   Regs[I->Dst] = Regs[I->Src];                                                 \
-  TNUMS_SET_INITED(I->Dst);
-
-#define TNUMS_BODY_MOV_IMM64                                                   \
-  Regs[I->Dst] = I->Imm;                                                       \
   TNUMS_SET_INITED(I->Dst);
 
 #define TNUMS_BODY_LOAD(N)                                                     \
@@ -393,16 +306,6 @@ inline uint8_t *spanAt(uint8_t *MemData, uint64_t MemSize, uint8_t *StackData,
     TNUMS_TRAP(UninitRead, "jump on uninit reg");                              \
   if (TNUMS_CMP64_##CMP(Regs[I->Dst], I->Imm))                                 \
     TNUMS_JUMP(I->Target);
-
-#define TNUMS_BODY_JA TNUMS_JUMP(I->Target);
-
-#define TNUMS_BODY_EXIT                                                        \
-  if (!TNUMS_INITED(R0))                                                       \
-    TNUMS_TRAP(UninitRead, "exit with uninit r0");                             \
-  Result.ReturnValue = Regs[R0];                                               \
-  Result.ExitPc = TNUMS_PC;                                                    \
-  Result.Steps = Executed + 1;                                                 \
-  TNUMS_DONE;
 
 #define TNUMS_ARITH_HANDLERS(NAME)                                             \
   TNUMS_OP(NAME##Reg64) {                                                      \
@@ -433,20 +336,7 @@ inline uint8_t *spanAt(uint8_t *MemData, uint64_t MemSize, uint8_t *StackData,
 
 #define TNUMS_LOAD_HANDLER(N)                                                  \
   TNUMS_OP(Load##N) {                                                          \
-    if (!TNUMS_INITED(I->Src))                                                 \
-      TNUMS_TRAP(UninitRead, "load via uninit reg");                           \
-    uint64_t Addr = Regs[I->Src] + static_cast<int64_t>(I->Off);               \
-    const uint8_t *Ptr = spanAt(MemData, MemSize, StackData, Addr, N);         \
-    if (!Ptr)                                                                  \
-      TNUMS_TRAP(OutOfBounds,                                                  \
-                 formatString("load of %u bytes at 0x%llx out of bounds",      \
-                              static_cast<unsigned>(N),                        \
-                              static_cast<unsigned long long>(Addr)));         \
-    uint64_t Value = 0;                                                        \
-    for (unsigned B = 0; B != (N); ++B)                                        \
-      Value |= static_cast<uint64_t>(Ptr[B]) << (8 * B);                       \
-    Regs[I->Dst] = Value;                                                      \
-    TNUMS_SET_INITED(I->Dst);                                                  \
+    TNUMS_BODY_LOAD(N)                                                         \
     TNUMS_NEXT;                                                                \
   }
 
@@ -513,10 +403,7 @@ inline uint8_t *spanAt(uint8_t *MemData, uint64_t MemSize, uint8_t *StackData,
     TNUMS_NEXT;                                                                \
   }                                                                            \
   TNUMS_OP(Jmp##NAME##Imm64) {                                                 \
-    if (!TNUMS_INITED(I->Dst))                                                 \
-      TNUMS_TRAP(UninitRead, "jump on uninit reg");                            \
-    if (TNUMS_CMP64_##NAME(Regs[I->Dst], I->Imm))                              \
-      TNUMS_JUMP(I->Target);                                                   \
+    TNUMS_BODY_JMP_IMM64(NAME)                                                 \
     TNUMS_NEXT;                                                                \
   }                                                                            \
   TNUMS_OP(Jmp##NAME##Reg32) {                                                 \
@@ -537,49 +424,16 @@ inline uint8_t *spanAt(uint8_t *MemData, uint64_t MemSize, uint8_t *StackData,
   }
 
 //===----------------------------------------------------------------------===//
-// Fused superinstruction handlers: body1 + TNUMS_FUSE + body2. TNUMS_FUSE
-// (defined by the includer) counts the first instruction, advances I to
-// the pair's second record, and performs the same mid-pair step-limit
-// check an unfused dispatch would -- so traps in body2 report the second
-// instruction's pc and step count, exactly as if the pair had been
-// dispatched twice.
+// Fused group handlers: body1 + TNUMS_FUSE + body2 + ... TNUMS_FUSE
+// (defined by the includer) counts the finished instruction, advances I
+// to the group's next record, and performs the same step-limit check an
+// unfused dispatch would -- so a trap in a later slot reports that
+// instruction's pc and step count, exactly as if each slot had been
+// dispatched on its own.
 //===----------------------------------------------------------------------===//
 
-// mov rd, rs; <aluop> rd2, imm
-#define TNUMS_F1_HANDLERS(NAME)                                                \
-  TNUMS_OP(FuseMovReg##NAME##Imm64) {                                          \
-    TNUMS_BODY_MOV_REG64                                                       \
-    TNUMS_FUSE;                                                                \
-    TNUMS_BODY_ALU_IMM64(NAME)                                                 \
-    TNUMS_NEXT;                                                                \
-  }
-
-// add rd, rs; ldx rd2, [rs2 + off]
-#define TNUMS_F2_HANDLER(N)                                                    \
-  TNUMS_OP(FuseAddRegLoad##N) {                                                \
-    TNUMS_BODY_ALU_REG64(Add)                                                  \
-    TNUMS_FUSE;                                                                \
-    TNUMS_BODY_LOAD(N)                                                         \
-    TNUMS_NEXT;                                                                \
-  }
-
-// <aluop> rd, rs; {add,sub} rd2, imm
-#define TNUMS_F3_HANDLERS(NAME)                                                \
-  TNUMS_OP(Fuse##NAME##RegAddImm64) {                                          \
-    TNUMS_BODY_ALU_REG64(NAME)                                                 \
-    TNUMS_FUSE;                                                                \
-    TNUMS_BODY_ALU_IMM64(Add)                                                  \
-    TNUMS_NEXT;                                                                \
-  }                                                                            \
-  TNUMS_OP(Fuse##NAME##RegSubImm64) {                                          \
-    TNUMS_BODY_ALU_REG64(NAME)                                                 \
-    TNUMS_FUSE;                                                                \
-    TNUMS_BODY_ALU_IMM64(Sub)                                                  \
-    TNUMS_NEXT;                                                                \
-  }
-
 // <aluop> rd, imm; add rd2, imm2; jlt rd3, imm3, target
-#define TNUMS_F10_HANDLERS(NAME)                                               \
+#define TNUMS_ALUIMM_ADDIMM_JMPLT_HANDLER(NAME)                                \
   TNUMS_OP(Fuse##NAME##ImmAddImmJmpLt) {                                       \
     TNUMS_BODY_ALU_IMM64(NAME)                                                 \
     TNUMS_FUSE;                                                                \
@@ -591,7 +445,7 @@ inline uint8_t *spanAt(uint8_t *MemData, uint64_t MemSize, uint8_t *StackData,
 
 // A whole down-counting random-body loop iteration: jeq rd, imm, done;
 // <aluop> rd2, imm2; add rd3, rs3; sub rd4, imm4; ja head.
-#define TNUMS_F11_HANDLERS(NAME)                                               \
+#define TNUMS_DOWN_RAND_HANDLER(NAME)                                          \
   TNUMS_OP(FuseDownRand##NAME) {                                               \
     TNUMS_BODY_JMP_IMM64(Eq)                                                   \
     TNUMS_FUSE;                                                                \
@@ -601,28 +455,19 @@ inline uint8_t *spanAt(uint8_t *MemData, uint64_t MemSize, uint8_t *StackData,
     TNUMS_FUSE;                                                                \
     TNUMS_BODY_ALU_IMM64(Sub)                                                  \
     TNUMS_FUSE;                                                                \
-    TNUMS_BODY_JA                                                              \
-  }
-
-// {add,sub} rd, imm; j<cmp> rd2, imm2, target
-#define TNUMS_F5_HANDLERS(CMP)                                                 \
-  TNUMS_OP(FuseAddImmJmp##CMP##Imm64) {                                        \
-    TNUMS_BODY_ALU_IMM64(Add)                                                  \
-    TNUMS_FUSE;                                                                \
-    TNUMS_BODY_JMP_IMM64(CMP)                                                  \
-    TNUMS_NEXT;                                                                \
-  }                                                                            \
-  TNUMS_OP(FuseSubImmJmp##CMP##Imm64) {                                        \
-    TNUMS_BODY_ALU_IMM64(Sub)                                                  \
-    TNUMS_FUSE;                                                                \
-    TNUMS_BODY_JMP_IMM64(CMP)                                                  \
-    TNUMS_NEXT;                                                                \
+    TNUMS_JUMP(I->Target);                                                     \
   }
 
 } // namespace
 
-bool tnums::bpf::threadedDispatchAvailable() {
-  return TNUMS_HAVE_COMPUTED_GOTO != 0;
+bool tnums::bpf::threadedDispatchAvailable() { return true; }
+
+uint8_t DecodedProgram::genericGroupOp(uint8_t FusedOp) {
+  if (FusedOp == DFuseMaskedAccumJmpLtT)
+    return DFuseMaskedAccumJmpLt;
+  if (FusedOp == DFuseDownMaskedIterT)
+    return DFuseDownMaskedIter;
+  return FusedOp;
 }
 
 const char *tnums::bpf::dispatchModeName(DispatchMode Mode) {
@@ -702,11 +547,8 @@ std::optional<DecodedProgram> DecodedProgram::decode(const Program &Prog,
   // record of a hot adjacent group to the fused opcode. The records
   // behind it are left untouched, so jumps into the middle of a group
   // execute them standalone; groups never overlap (a consumed record is
-  // not considered as the start of another group). The two triples --
-  // mov+mask+base-add (the generated masked loop body's address
-  // computation) and accumulate+decrement+back-edge (the down-counting
-  // loop tail) -- are matched before the pair families so they win the
-  // overlapping pairs.
+  // not considered as the start of another group). No two group shapes
+  // can overlap, so the match order below does not matter.
   auto OpsAre = [&D](size_t Pc, std::initializer_list<uint8_t> Ops) {
     if (Pc + Ops.size() > D.Code.size())
       return false;
@@ -715,7 +557,11 @@ std::optional<DecodedProgram> DecodedProgram::decode(const Program &Prog,
         return false;
     return true;
   };
-  for (size_t Pc = 0; Pc + 1 < D.Code.size(); ++Pc) {
+  auto IsAluImm64 = [&D](size_t Pc) {
+    return Pc < D.Code.size() && D.Code[Pc].Op < DMovReg64 &&
+           (D.Code[Pc].Op & 3) == 1;
+  };
+  for (size_t Pc = 0; Pc + 2 < D.Code.size(); ++Pc) {
     // Widest groups first: whole generated loop iterations in a single
     // dispatch. Down-counting masked iteration (exit test, masked
     // byte-accumulate body, accumulate, decrement, back-edge) ...
@@ -755,49 +601,19 @@ std::optional<DecodedProgram> DecodedProgram::decode(const Program &Prog,
     }
     // ... and down-counting random-body iteration (exit test, one ALU
     // immediate, accumulate, decrement, back-edge).
-    if (Pc + 4 < D.Code.size() && D.Code[Pc].Op == DJmpEqImm64 &&
-        D.Code[Pc + 1].Op < DMovReg64 && (D.Code[Pc + 1].Op & 3) == 1 &&
+    if (OpsAre(Pc, {DJmpEqImm64}) && IsAluImm64(Pc + 1) &&
         OpsAre(Pc + 2, {DAddReg64, DSubImm64, DJa})) {
       D.Code[Pc].Op =
           static_cast<uint8_t>(DFuseDownRandAdd + (D.Code[Pc + 1].Op >> 2));
       Pc += 4;
       continue;
     }
-    // The full masked byte-accumulate loop body
-    // (mov+mask+base-add+load+xor), five instructions in one dispatch.
-    if (Pc + 4 < D.Code.size() && D.Code[Pc].Op == DMovReg64 &&
-        D.Code[Pc + 1].Op == DAndImm64 && D.Code[Pc + 2].Op == DAddReg64 &&
-        D.Code[Pc + 3].Op == DLoad1 && D.Code[Pc + 4].Op == DXorReg64) {
-      D.Code[Pc].Op = static_cast<uint8_t>(DFuseMaskedByteAccum);
-      Pc += 4;
-      continue;
-    }
-    if (Pc + 2 < D.Code.size() && D.Code[Pc].Op == DMovReg64 &&
-        D.Code[Pc + 1].Op == DAndImm64 && D.Code[Pc + 2].Op == DAddReg64) {
-      D.Code[Pc].Op = static_cast<uint8_t>(DFuseMovRegAndImmAddReg64);
-      Pc += 2;
-      continue;
-    }
-    if (Pc + 2 < D.Code.size() && D.Code[Pc].Op == DAddReg64 &&
-        D.Code[Pc + 1].Op == DSubImm64 && D.Code[Pc + 2].Op == DJa) {
-      D.Code[Pc].Op = static_cast<uint8_t>(DFuseAddRegSubImmJa);
-      Pc += 2;
-      continue;
-    }
     // <aluop> rd, imm; add rd2, imm2; jlt rd3, imm3 -- an up-counting
     // loop's body + induction + back-edge, one dispatch per iteration.
-    if (Pc + 2 < D.Code.size() && D.Code[Pc].Op < DMovReg64 &&
-        (D.Code[Pc].Op & 3) == 1 && D.Code[Pc + 1].Op == DAddImm64 &&
-        D.Code[Pc + 2].Op == DJmpLtImm64) {
+    if (IsAluImm64(Pc) && OpsAre(Pc + 1, {DAddImm64, DJmpLtImm64})) {
       D.Code[Pc].Op =
           static_cast<uint8_t>(DFuseAddImmAddImmJmpLt + (D.Code[Pc].Op >> 2));
       Pc += 2;
-      continue;
-    }
-    uint8_t F = fusedOpcode(D.Code[Pc].Op, D.Code[Pc + 1].Op);
-    if (F != 0xFF) {
-      D.Code[Pc].Op = F;
-      ++Pc;
     }
   }
 
@@ -810,7 +626,7 @@ std::optional<DecodedProgram> DecodedProgram::decode(const Program &Prog,
     static DecodeMetrics M;
     uint64_t FusedHeads = 0;
     for (const DInsn &Rec : D.Code)
-      if (Rec.Op >= DFuseMovRegAddImm64)
+      if (Rec.Op >= FirstFusedOp)
         ++FusedHeads;
     M.Programs.add();
     M.Insns.add(D.Code.size());
@@ -820,7 +636,8 @@ std::optional<DecodedProgram> DecodedProgram::decode(const Program &Prog,
 }
 
 //===----------------------------------------------------------------------===//
-// The portable switch dispatcher.
+// The switch dispatcher: the second dispatch loop over the same handler
+// bodies, which the differential tests hold the threaded one against.
 //===----------------------------------------------------------------------===//
 
 ExecResult DecodedProgram::runSwitch(std::vector<uint8_t> &Memory,
@@ -913,12 +730,10 @@ Done:
 }
 
 //===----------------------------------------------------------------------===//
-// The computed-goto threaded dispatcher (GCC/Clang only). Same handler
+// The computed-goto threaded dispatcher, run() by default. Same handler
 // bodies, dispatched through a label table indexed by opcode, so each
 // handler jumps straight to the next one with no central branch.
 //===----------------------------------------------------------------------===//
-
-#if TNUMS_HAVE_COMPUTED_GOTO
 
 ExecResult DecodedProgram::runThreaded(std::vector<uint8_t> &Memory,
                                        uint64_t StepLimit) {
@@ -1073,17 +888,6 @@ Done:
   return Result;
 }
 
-#else
-
-ExecResult DecodedProgram::runThreaded(std::vector<uint8_t> &Memory,
-                                       uint64_t StepLimit) {
-  // No computed goto in this build; Threaded degrades to Switch
-  // (threadedDispatchAvailable() tells callers).
-  return runSwitch(Memory, StepLimit);
-}
-
-#endif // TNUMS_HAVE_COMPUTED_GOTO
-
 ExecResult DecodedProgram::run(std::vector<uint8_t> &Memory,
                                uint64_t StepLimit, DispatchMode Mode) {
   if (Code.empty()) {
@@ -1095,9 +899,7 @@ ExecResult DecodedProgram::run(std::vector<uint8_t> &Memory,
     Result.Message = "empty decoded program";
     return Result;
   }
-  bool Threaded = Mode == DispatchMode::Threaded ||
-                  (Mode == DispatchMode::Auto && threadedDispatchAvailable());
-  if (Threaded)
-    return runThreaded(Memory, StepLimit);
-  return runSwitch(Memory, StepLimit);
+  if (Mode == DispatchMode::Switch)
+    return runSwitch(Memory, StepLimit);
+  return runThreaded(Memory, StepLimit);
 }

@@ -11,11 +11,14 @@
 /// records -- imm vs reg forms pre-split, 64/32-bit widths and memory
 /// access sizes specialized into distinct opcodes, jump targets
 /// pre-computed via Program::jumpTarget -- so the hot loop never
-/// re-inspects Insn::Kind, UsesImm, Is32, or Size. Dispatch is
-/// computed-goto threaded where the compiler supports it (GCC/Clang) with
-/// a portable switch fallback; both modes are compiled when available and
-/// selectable per run, so the differential tests can pin them against
-/// each other and against the legacy Interpreter.
+/// re-inspects Insn::Kind, UsesImm, Is32, or Size. decode() then fuses
+/// the generated loops' hot groups (whole iterations and three-instruction
+/// bodies) into superinstructions, one dispatch per group; the group
+/// matcher in decode() is the only fusion mechanism. Dispatch is
+/// computed-goto threaded (the build requires GCC or Clang). A switch loop
+/// over the same handler bodies is the second dispatcher, selectable per
+/// run, so the differential tests can pin the two against each other and
+/// against the legacy Interpreter.
 ///
 /// The payoff the fuzzer cares about: one DecodedProgram executes many
 /// random input memories through run(Memory) without re-copying the
@@ -50,14 +53,14 @@ namespace bpf {
 
 /// How run() dispatches decoded handlers.
 enum class DispatchMode : uint8_t {
-  Auto,     ///< Threaded when the build supports it, else Switch.
-  Threaded, ///< Computed-goto dispatch (falls back to Switch when the
-            ///< build has no computed goto; see
-            ///< threadedDispatchAvailable()).
-  Switch,   ///< Portable switch loop over the decoded records.
+  Auto,     ///< Threaded.
+  Threaded, ///< Computed-goto dispatch.
+  Switch,   ///< Switch loop over the same handler bodies: the second
+            ///< dispatcher the differential tests hold Threaded against.
 };
 
-/// True when this build compiles the computed-goto dispatch path.
+/// Always true: every supported compiler (GCC, Clang) has computed goto.
+/// Kept for the benchmarks that report it.
 bool threadedDispatchAvailable();
 
 /// Stable lower-case mode name ("auto", "threaded", "switch").
@@ -79,6 +82,16 @@ public:
     uint8_t Src = 0;
     uint8_t Cmp = 0;     ///< CompareOp for conditional jumps.
   };
+
+  /// The fused opcode range (tests only): decode() writes an opcode in
+  /// [FirstFusedOp, OpCount) to the first record of each fused group.
+  static constexpr uint8_t FirstFusedOp = 109;
+  static constexpr uint8_t OpCount = 135;
+
+  /// The opcode whose handler runs \p FusedOp's group slot by slot (tests
+  /// only): the generic group for a tied fast-path variant, which falls
+  /// back to it, else \p FusedOp itself.
+  static uint8_t genericGroupOp(uint8_t FusedOp);
 
   DecodedProgram() = default;
 

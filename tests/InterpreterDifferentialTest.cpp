@@ -13,7 +13,8 @@
 /// BOTH dispatch modes, over every generator profile (mutants included),
 /// across reuse of one decoded program on many memories, and at step
 /// limits that land inside fused instruction groups (which forces the
-/// tied whole-iteration fast paths to fall back mid-group).
+/// tied whole-iteration fast paths to fall back mid-group). Also checks
+/// that every fused handler is reachable from generated code.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -133,11 +134,10 @@ void sweepProfiles(uint64_t Programs, unsigned RunsPerProgram,
                           runDecoded(*Exec, Mem, StepLimit,
                                      DispatchMode::Switch),
                           P, Tag + " [switch]");
-          if (threadedDispatchAvailable())
-            expectIdentical(Legacy,
-                            runDecoded(*Exec, Mem, StepLimit,
-                                       DispatchMode::Threaded),
-                            P, Tag + " [threaded]");
+          expectIdentical(Legacy,
+                          runDecoded(*Exec, Mem, StepLimit,
+                                     DispatchMode::Threaded),
+                          P, Tag + " [threaded]");
         }
       }
     }
@@ -150,34 +150,40 @@ TEST(InterpreterDifferential, AllProfilesBothModesMatchLegacy) {
 }
 
 TEST(InterpreterDifferential, MidGroupStepLimitsStayBitIdentical) {
-  // Step limits chosen to land on every boundary of the fused loop
-  // groups (7- and 9-instruction iterations): the tied fast paths must
-  // refuse the whole-iteration shortcut when the remaining budget is
-  // short and fall back to slot-by-slot execution with exact Steps and
-  // trap attribution.
-  GenOptions Opts;
-  Opts.Profile = GenProfile::Loops;
-  Opts.MemSize = MemSize;
-  ProgramGen Gen(2022, Opts);
-  for (uint64_t Index = 0; Index != 20; ++Index) {
-    Program P = Gen.next();
-    std::string Error;
-    std::optional<DecodedProgram> Exec = DecodedProgram::decode(P, Error);
-    ASSERT_TRUE(Exec) << Error;
-    for (uint64_t StepLimit : std::vector<uint64_t>{
-             1, 2, 3, 5, 7, 8, 9, 10, 13, 20, 48, 49, 50}) {
-      std::vector<uint8_t> Mem = makeMemory(99, Index, 0);
-      Outcome Legacy = runLegacy(P, Mem, StepLimit);
-      std::string Tag = formatString(
-          "program %llu limit %llu", static_cast<unsigned long long>(Index),
-          static_cast<unsigned long long>(StepLimit));
-      expectIdentical(
-          Legacy, runDecoded(*Exec, Mem, StepLimit, DispatchMode::Switch), P,
-          Tag + " [switch]");
-      if (threadedDispatchAvailable())
+  // Step limits chosen to land on every boundary of the fused groups
+  // (3-instruction bodies, 5-, 7- and 9-instruction iterations) in every
+  // family: a group must stop exactly at the limit, and the tied fast
+  // paths must refuse the whole-iteration shortcut when the remaining
+  // budget is short and fall back to slot-by-slot execution with exact
+  // Steps and trap attribution.
+  for (GenProfile Profile : AllProfiles) {
+    if (Profile == GenProfile::Mixed)
+      continue;
+    GenOptions Opts;
+    Opts.Profile = Profile;
+    Opts.MemSize = MemSize;
+    ProgramGen Gen(2022, Opts);
+    for (uint64_t Index = 0; Index != 20; ++Index) {
+      Program P = Gen.next();
+      std::string Error;
+      std::optional<DecodedProgram> Exec = DecodedProgram::decode(P, Error);
+      ASSERT_TRUE(Exec) << Error;
+      for (uint64_t StepLimit : std::vector<uint64_t>{
+               1, 2, 3, 5, 7, 8, 9, 10, 13, 20, 48, 49, 50}) {
+        std::vector<uint8_t> Mem = makeMemory(99, Index, 0);
+        Outcome Legacy = runLegacy(P, Mem, StepLimit);
+        std::string Tag = formatString(
+            "%s program %llu limit %llu", genProfileName(Profile),
+            static_cast<unsigned long long>(Index),
+            static_cast<unsigned long long>(StepLimit));
         expectIdentical(
-            Legacy, runDecoded(*Exec, Mem, StepLimit, DispatchMode::Threaded),
-            P, Tag + " [threaded]");
+            Legacy, runDecoded(*Exec, Mem, StepLimit, DispatchMode::Switch),
+            P, Tag + " [switch]");
+        expectIdentical(
+            Legacy,
+            runDecoded(*Exec, Mem, StepLimit, DispatchMode::Threaded), P,
+            Tag + " [threaded]");
+      }
     }
   }
 }
@@ -223,39 +229,44 @@ TEST(InterpreterDifferential, ReusedDecodedProgramMatchesFreshInterpreters) {
     expectIdentical(Legacy, runDecoded(*Exec, Mem, 1 << 16,
                                        DispatchMode::Switch),
                     P, formatString("reuse run %u [switch]", Run));
-    if (threadedDispatchAvailable())
-      expectIdentical(Legacy, runDecoded(*Exec, Mem, 1 << 16,
-                                         DispatchMode::Threaded),
-                      P, formatString("reuse run %u [threaded]", Run));
+    expectIdentical(Legacy, runDecoded(*Exec, Mem, 1 << 16,
+                                       DispatchMode::Threaded),
+                    P, formatString("reuse run %u [threaded]", Run));
   }
 }
 
-TEST(InterpreterDifferential, LoopsProfileDecodesToFusedHandlers) {
-  // The throughput claim rests on decode-time fusion: loop bodies lower
-  // into the fused opcode families above the base opcode space (Ja is
-  // 107, Exit 108; everything above is fused, and the tie-specialized
-  // whole-iteration variants sit at the very top -- the layout Decoded.cpp
-  // pins with static_asserts). genLoop's fixed register roles guarantee
-  // the tied variants apply, so their absence would mean the fast path
-  // silently stopped engaging -- exactly the regression this canary is
-  // for.
-  GenOptions Opts;
-  Opts.Profile = GenProfile::Loops;
-  Opts.MemSize = MemSize;
-  ProgramGen Gen(2022, Opts);
-  bool AnyFused = false, AnyTied = false;
-  for (uint64_t Index = 0; Index != 100; ++Index) {
-    Program P = Gen.next();
-    std::string Error;
-    std::optional<DecodedProgram> Exec = DecodedProgram::decode(P, Error);
-    ASSERT_TRUE(Exec) << Error;
-    for (const DecodedProgram::DInsn &D : Exec->code()) {
-      AnyFused |= D.Op > 108;
-      AnyTied |= D.Op >= 201;
+TEST(InterpreterDifferential, EveryFusedHandlerIsLive) {
+  // Fusion pays only where generated code reaches it, so a handler no
+  // family decodes to is dead weight. Every fused opcode decode() can
+  // write must head a group in some program of the six families. A tied
+  // variant counts for its generic group: that handler is the tied fast
+  // path's fallback, so it runs whenever the tied opcode does.
+  std::vector<bool> Live(DecodedProgram::OpCount, false);
+  for (GenProfile Profile : AllProfiles) {
+    if (Profile == GenProfile::Mixed)
+      continue;
+    GenOptions Opts;
+    Opts.Profile = Profile;
+    Opts.MemSize = MemSize;
+    ProgramGen Gen(2022, Opts);
+    for (uint64_t Index = 0; Index != 256; ++Index) {
+      Program P = Gen.next();
+      std::string Error;
+      std::optional<DecodedProgram> Exec = DecodedProgram::decode(P, Error);
+      ASSERT_TRUE(Exec) << Error;
+      for (const DecodedProgram::DInsn &D : Exec->code()) {
+        ASSERT_LT(D.Op, DecodedProgram::OpCount);
+        if (D.Op >= DecodedProgram::FirstFusedOp) {
+          Live[D.Op] = true;
+          Live[DecodedProgram::genericGroupOp(D.Op)] = true;
+        }
+      }
     }
   }
-  EXPECT_TRUE(AnyFused);
-  EXPECT_TRUE(AnyTied);
+  for (unsigned Op = DecodedProgram::FirstFusedOp;
+       Op != DecodedProgram::OpCount; ++Op)
+    EXPECT_TRUE(Live[Op]) << "fused opcode " << Op
+                          << " heads no group in any family";
 }
 
 } // namespace
