@@ -21,28 +21,19 @@
 /// Every path produces bit-identical reports; the differential tests pin
 /// the batched loops to the scalar reference.
 ///
-/// Layering: this file knows nothing about tnums. The tnum-aware batch
-/// enumerator lives in tnum/TnumMembers.h and the loops that consume both
-/// live in verify/.
+/// Layering: this file knows nothing about tnums. The padded member lists
+/// live in tnum/TnumMembers.h and the loops that consume them in verify/.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef TNUMS_SUPPORT_SIMDBATCH_H
 #define TNUMS_SUPPORT_SIMDBATCH_H
 
-#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
 
 namespace tnums {
-
-/// Lanes per batch. 64 so that one batch's membership outcome packs into
-/// one uint64_t occupancy mask.
-inline constexpr unsigned SimdBatchLanes = 64;
-
-/// Byte alignment for stack batch buffers.
-inline constexpr size_t SimdBatchAlign = 32;
 
 /// How a sweep selects its member-scan path.
 ///

@@ -1,4 +1,4 @@
-//===- tnum/TnumMembers.h - Batched concretization enumeration --*- C++ -*-===//
+//===- tnum/TnumMembers.h - Padded 16-bit member lists ----------*- C++ -*-===//
 //
 // Part of the tnums project, reproducing "Sound, Precise, and Fast Abstract
 // Interpretation with Tristate Numbers" (CGO 2022).
@@ -6,114 +6,85 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Batch-oriented enumeration of gamma(P) for the batched member-pair
-/// loops (verify/MemberLoops.h). forEachMember (TnumEnum.h) hands members
-/// to a callback one at a time; the batched sweeps instead want whole
-/// chunks of the concretization materialized into aligned buffers they can
-/// run the 64-lane loops over. Both interfaces visit members in the SAME order
-/// -- the subset odometer over the mask, increasing -- which is what lets
-/// the batched checkers reproduce the scalar checkers' serial-order-first
-/// counterexamples and exact work counters bit for bit.
+/// gamma(P) materialized as a flat list for the batched member-pair loops
+/// (verify/MemberLoops.h). forEachMember (TnumEnum.h) hands members to a
+/// callback one at a time; the batched sweeps instead want whole
+/// concretizations laid out as 16-byte vectors. Both visit members in the
+/// SAME order -- the subset odometer over the mask, increasing -- which is
+/// what lets the batched checkers reproduce the scalar checkers'
+/// serial-order-first counterexamples and exact work counters bit for bit.
+///
+/// Every sweep grid has Width <= 16 (allWellFormedTnums), so a member is
+/// one 16-bit lane, eight to a vector. Each list is padded to a whole
+/// vector by repeating its last member: a duplicate member changes neither
+/// the OR of non-membership nor the AND/OR folds of alpha, so the loops
+/// need no scalar tail. Counts always come from the real length.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef TNUMS_TNUM_TNUMMEMBERS_H
 #define TNUMS_TNUM_TNUMMEMBERS_H
 
-#include "support/SimdBatch.h"
 #include "tnum/Tnum.h"
 
 #include <vector>
 
 namespace tnums {
 
-/// Streams gamma(P) in subset-odometer order (forEachMember's order), one
-/// batch at a time. Typical use:
-///
-///   MemberStream Ys(Q);
-///   alignas(SimdBatchAlign) uint64_t Buf[SimdBatchLanes];
-///   while (unsigned N = Ys.nextBatch(Buf))
-///     ... run a 64-lane kernel over Buf[0..N) ...
-///
-/// Bottom streams nothing. The final batch may be short (|gamma(P)| is a
-/// power of two, so with 64-lane batches a short batch only occurs when
-/// |gamma(P)| < 64 -- the "empty tail" case the differential tests pin).
-class MemberStream {
-public:
-  explicit MemberStream(const Tnum &P)
-      : Value(P.value()), Mask(P.mask()), Subset(0),
-        Done(P.isBottom()) {}
+/// One member of a width <= 16 concretization.
+using MemberLane = uint16_t;
 
-  /// Fills \p Out with up to SimdBatchLanes consecutive members; returns
-  /// how many were written (0 once the stream is exhausted).
-  unsigned nextBatch(uint64_t *Out) {
-    if (Done)
-      return 0;
-    unsigned N = 0;
-    while (N != SimdBatchLanes) {
-      Out[N++] = Value | Subset;
-      if (Subset == Mask) {
-        Done = true;
-        break;
-      }
-      Subset = (Subset - Mask) & Mask;
-    }
-    return N;
-  }
+/// Lanes per 16-byte vector; every list is padded to a multiple of this.
+inline constexpr unsigned MemberVecLanes = 8;
 
-  /// True once every member has been produced.
-  bool exhausted() const { return Done; }
+/// Stored length of a list of \p Count members (0 stays 0).
+inline uint64_t paddedMemberCount(uint64_t Count) {
+  return (Count + MemberVecLanes - 1) & ~uint64_t(MemberVecLanes - 1);
+}
 
-  /// Rewinds to the first member.
-  void reset() {
-    Subset = 0;
-    Done = (Value & Mask) != 0;
-  }
-
-private:
-  uint64_t Value;
-  uint64_t Mask;
-  uint64_t Subset;
-  bool Done;
+/// A padded member list: Lanes[0, Count) is gamma(P) in subset-odometer
+/// order and Lanes[Count, paddedMemberCount(Count)) repeat its last member.
+struct MemberSpan {
+  const MemberLane *Lanes = nullptr;
+  uint64_t Count = 0; ///< |gamma(P)|, never the padded length.
 };
 
-/// Materializes gamma(\p P) into \p Out (cleared and refilled; capacity is
-/// retained across calls) in subset-odometer order. The sweeps call this
-/// once per (P, Q) pair with a reused buffer, so the fill cost is
-/// |gamma(Q)| against |gamma(P)| * |gamma(Q)| of batched work. Requires
-/// |gamma(P)| to be vector-materializable (<= 2^30 members).
-void materializeMembers(const Tnum &P, std::vector<uint64_t> &Out);
+/// Materializes gamma(\p P) into \p Out (resized; capacity is retained
+/// across calls) and returns the list. Requires P's value and mask to fit
+/// 16 bits; bottom yields an empty list.
+MemberSpan materializeMembers(const Tnum &P, std::vector<MemberLane> &Out);
 
 /// A per-universe member table: gamma(U[i]) for every tnum of a universe,
-/// materialized once (in subset-odometer order, like materializeMembers)
-/// into one flat buffer. The exhaustive sweeps walk the full (P, Q) grid,
-/// so each Q's concretization is re-materialized |U| times when done per
-/// pair; memoizing it here trades Sigma |gamma| = 4^n words of memory
-/// (8 MiB at width 10, 128 MiB at width 12) for dropping that refill from
-/// the cell scan entirely. Batched-path outputs are bit-identical either
-/// way -- the table stores exactly what materializeMembers produces.
+/// materialized once into one flat buffer of padded lists. The exhaustive
+/// sweeps walk the full (P, Q) grid, so each concretization would
+/// otherwise be re-materialized |U| times; the table trades
+/// memberTableBytes(Width) of memory (about 2 * 4^Width bytes) for
+/// dropping that refill from the cell scan entirely. It stores exactly
+/// what materializeMembers produces.
 class MemberTable {
 public:
-  MemberTable() = default;
+  /// Where U[i]'s list starts in the flat buffer, and its real length.
+  struct Entry {
+    uint64_t Offset;
+    uint64_t Count;
+  };
 
-  /// Builds the table for \p Universe. Every member of every tnum is
-  /// stored, so the caller gates construction on memberTableBytes().
+  /// Builds the table for \p Universe, presized, in one pass over the
+  /// members. The caller gates construction on memberTableBytes().
   explicit MemberTable(const std::vector<Tnum> &Universe);
 
-  /// gamma(U[i]) as a flat span.
-  const uint64_t *members(size_t I) const { return Flat.data() + Offsets[I]; }
-  uint64_t numMembers(size_t I) const { return Offsets[I + 1] - Offsets[I]; }
-
-  bool empty() const { return Offsets.empty(); }
+  /// gamma(U[i]) as a padded list.
+  MemberSpan members(size_t I) const {
+    return {Lanes.data() + Entries[I].Offset, Entries[I].Count};
+  }
 
 private:
-  std::vector<uint64_t> Flat;
-  std::vector<uint64_t> Offsets; ///< Offsets[i] .. Offsets[i+1] spans U[i].
+  std::vector<MemberLane> Lanes;
+  std::vector<Entry> Entries;
 };
 
-/// Bytes a MemberTable over the full width-\p Width universe occupies:
-/// Sigma over well-formed tnums of |gamma| = 4^Width entries of 8 bytes
-/// (plus the offset index, one word per tnum).
+/// Exact bytes a MemberTable over the full width-\p Width universe
+/// occupies: every padded list plus one Entry per tnum.
 uint64_t memberTableBytes(unsigned Width);
 
 } // namespace tnums

@@ -49,20 +49,18 @@ PrecisionReport tnums::measurePrecisionGap(BinaryOp Op, unsigned Width,
   PrecisionReport Report;
   std::vector<Tnum> Universe = allWellFormedTnums(Width);
   const bool Batched = simdModeBatches(Simd);
-  std::vector<uint64_t> Xs;
-  std::vector<uint64_t> Ys;
+  std::vector<MemberLane> XLanes, YLanes;
+  MemberSpan Xs;
   for (const Tnum &P : Universe) {
     if (Batched)
-      materializeMembers(P, Xs);
+      Xs = materializeMembers(P, XLanes);
     for (const Tnum &Q : Universe) {
       ++Report.PairsChecked;
       Tnum Actual = applyAbstractBinary(Op, P, Q, Width, Mul);
       Tnum Optimal;
       if (Batched) {
-        materializeMembers(Q, Ys);
-        Optimal = optimalAbstractBinaryMembers(Op, Width, Xs.data(),
-                                               Xs.size(), Ys.data(),
-                                               Ys.size());
+        Optimal = optimalAbstractBinaryMembers(
+            Op, Width, Xs, materializeMembers(Q, YLanes));
       } else {
         Optimal = optimalAbstractBinary(Op, P, Q, Width);
       }
@@ -91,23 +89,21 @@ OptimalityReport tnums::checkOptimalityExhaustive(BinaryOp Op, unsigned Width,
   OptimalityReport Report;
   std::vector<Tnum> Universe = allWellFormedTnums(Width);
   const bool Batched = simdModeBatches(Simd);
-  std::vector<uint64_t> Xs;
-  std::vector<uint64_t> Ys;
+  std::vector<MemberLane> XLanes, YLanes;
+  MemberSpan Xs;
   for (const Tnum &P : Universe) {
     // gamma(P) is staged once per row and reused across the whole Q axis
     // (the memoized-concretization restructuring; order and results are
     // bit-identical to the per-pair enumeration it replaced).
     if (Batched)
-      materializeMembers(P, Xs);
+      Xs = materializeMembers(P, XLanes);
     for (const Tnum &Q : Universe) {
       ++Report.PairsChecked;
       Tnum Actual = applyAbstractBinary(Op, P, Q, Width, Mul);
       Tnum Optimal;
       if (Batched) {
-        materializeMembers(Q, Ys);
-        Optimal = optimalAbstractBinaryMembers(Op, Width, Xs.data(),
-                                               Xs.size(), Ys.data(),
-                                               Ys.size());
+        Optimal = optimalAbstractBinaryMembers(
+            Op, Width, Xs, materializeMembers(Q, YLanes));
       } else {
         Optimal = optimalAbstractBinary(Op, P, Q, Width);
       }

@@ -113,15 +113,22 @@ sweepPairGrid(const SweepGrid &Grid, uint64_t Begin, uint64_t End,
   return std::move(FailureByChunk.begin()->second); // Lowest chunk index.
 }
 
-/// Resolves gamma(Q) for one pair: from the memoized table when present,
-/// else materialized into the chunk-local staging buffer \p Ys.
-std::pair<const uint64_t *, uint64_t>
-resolveMembers(const std::optional<MemberTable> &Members, uint64_t QIndex,
-               const Tnum &Q, std::vector<uint64_t> &Ys) {
-  if (Members)
-    return {Members->members(QIndex), Members->numMembers(QIndex)};
-  materializeMembers(Q, Ys);
-  return {Ys.data(), Ys.size()};
+/// The member lists of grid pair \p Index: from the memoized table when
+/// present, else staged in \p Staging.
+std::pair<MemberSpan, MemberSpan> pairMembersAt(const SweepGrid &Grid,
+                                                uint64_t Index,
+                                                PairMembers &Staging) {
+  const uint64_t PIndex = Index / Grid.NumTnums;
+  const uint64_t QIndex = Index % Grid.NumTnums;
+  if (Grid.Members)
+    return {Grid.Members->members(PIndex), Grid.Members->members(QIndex)};
+  if (Staging.XsIndex != PIndex) {
+    Staging.NumXs =
+        materializeMembers(Grid.Universe[PIndex], Staging.XLanes).Count;
+    Staging.XsIndex = PIndex;
+  }
+  return {MemberSpan{Staging.XLanes.data(), Staging.NumXs},
+          materializeMembers(Grid.Universe[QIndex], Staging.YLanes)};
 }
 
 void publishFailureIndex(std::optional<uint64_t> *Out,
@@ -147,25 +154,12 @@ SweepGrid tnums::makeSweepGrid(unsigned Width, const SweepConfig &Config) {
 Tnum tnums::optimalAbstractionAt(BinaryOp Op, const SweepGrid &Grid,
                                  uint64_t Index, SimdMode Simd,
                                  PairMembers &Staging) {
-  const uint64_t PIndex = Index / Grid.NumTnums;
-  const uint64_t QIndex = Index % Grid.NumTnums;
-  const Tnum &P = Grid.Universe[PIndex];
-  const Tnum &Q = Grid.Universe[QIndex];
   if (!simdModeBatches(Simd))
-    return optimalAbstractBinary(Op, P, Q, Grid.Width);
-  if (Grid.Members)
-    return optimalAbstractBinaryMembers(
-        Op, Grid.Width, Grid.Members->members(PIndex),
-        Grid.Members->numMembers(PIndex), Grid.Members->members(QIndex),
-        Grid.Members->numMembers(QIndex));
-  if (Staging.XsIndex != PIndex) {
-    materializeMembers(P, Staging.Xs);
-    Staging.XsIndex = PIndex;
-  }
-  materializeMembers(Q, Staging.Ys);
-  return optimalAbstractBinaryMembers(Op, Grid.Width, Staging.Xs.data(),
-                                      Staging.Xs.size(), Staging.Ys.data(),
-                                      Staging.Ys.size());
+    return optimalAbstractBinary(Op, Grid.Universe[Index / Grid.NumTnums],
+                                 Grid.Universe[Index % Grid.NumTnums],
+                                 Grid.Width);
+  auto [Xs, Ys] = pairMembersAt(Grid, Index, Staging);
+  return optimalAbstractBinaryMembers(Op, Grid.Width, Xs, Ys);
 }
 
 SoundnessReport tnums::checkSoundnessRangeParallel(
@@ -183,9 +177,8 @@ SoundnessReport tnums::checkSoundnessRangeParallel(
   struct Local {
     uint64_t Pairs = 0;
     uint64_t Concrete = 0;
-    // Chunk-local gamma(Q) staging buffer for the non-memoized batched
-    // path; refilled per pair, capacity retained across the chunk.
-    std::vector<uint64_t> Ys;
+    // Chunk-local member staging for the non-memoized batched path.
+    PairMembers Staging;
   };
 
   std::optional<IndexedFailure<SoundnessCounterexample>> Failure =
@@ -195,27 +188,11 @@ SoundnessReport tnums::checkSoundnessRangeParallel(
               Local &L) -> std::optional<SoundnessCounterexample> {
             ++L.Pairs;
             Tnum R = Abstract(P, Q);
-            if (Batched) {
-              auto [Ys, NumYs] =
-                  resolveMembers(Grid.Members, Index % Grid.NumTnums, Q,
-                                 L.Ys);
-              return scanPairMembersBatched(Concrete, Width, P, Q, R, Ys,
-                                            NumYs, L.Concrete);
-            }
-            std::optional<SoundnessCounterexample> Violation;
-            forEachMember(P, [&](uint64_t X) {
-              if (Violation)
-                return;
-              forEachMember(Q, [&](uint64_t Y) {
-                if (Violation)
-                  return;
-                ++L.Concrete;
-                uint64_t Z = applyConcreteBinary(Concrete, X, Y, Width);
-                if (!R.contains(Z))
-                  Violation = SoundnessCounterexample{P, Q, X, Y, Z, R};
-              });
-            });
-            return Violation;
+            if (!Batched)
+              return scanPairScalar(Concrete, Width, P, Q, R, L.Concrete);
+            auto [Xs, Ys] = pairMembersAt(Grid, Index, L.Staging);
+            return scanPairMembersBatched(Concrete, Width, P, Q, R, Xs, Ys,
+                                          L.Concrete);
           },
           [&](const Local &L) {
             PairsChecked.fetch_add(L.Pairs, std::memory_order_relaxed);

@@ -79,11 +79,12 @@ struct SweepConfig {
   SimdMode Simd = SimdMode::Auto;
 
   /// Budget for memoizing the per-universe member table
-  /// (tnum/TnumMembers.h): when gamma of the whole universe fits
-  /// (4^width * 8 bytes <= cap), the batched sweeps build it once and stop
-  /// re-materializing gamma(Q) per (P, Q) pair. The default covers widths
-  /// <= 12 (128 MiB); wider sweeps fall back to per-pair materialization.
-  /// Zero disables memoization. Bit-identical reports either way.
+  /// (tnum/TnumMembers.h): when the padded 16-bit lists of the whole
+  /// universe and their index fit (memberTableBytes(width) <= cap), the
+  /// batched sweeps build it once and stop re-materializing gamma(P) and
+  /// gamma(Q) per (P, Q) pair. The default covers widths <= 13 (154 MiB);
+  /// wider sweeps fall back to per-pair materialization. Zero disables
+  /// memoization. Bit-identical reports either way.
   uint64_t MemberTableBytesCap = uint64_t(1) << 28;
 
 };
@@ -114,13 +115,14 @@ struct SweepGrid {
 /// path and byte cap allow, memoizes the member table.
 SweepGrid makeSweepGrid(unsigned Width, const SweepConfig &Config);
 
-/// Caller-owned staging for optimalAbstractionAt when \p Grid has no
-/// member table: gamma(P) staged once per row (pairs arrive in row-major
-/// order, so the refill amortizes across the Q axis) and gamma(Q)
-/// refilled per pair. One instance per thread.
+/// Caller-owned staging for the member lists of grid pairs when the grid
+/// has no member table: gamma(P) staged once per row (pairs arrive in
+/// row-major order, so the refill amortizes across the Q axis) and
+/// gamma(Q) refilled per pair. One instance per thread.
 struct PairMembers {
-  std::vector<uint64_t> Xs;
-  std::vector<uint64_t> Ys;
+  std::vector<MemberLane> XLanes;
+  std::vector<MemberLane> YLanes;
+  uint64_t NumXs = 0;
   uint64_t XsIndex = UINT64_MAX;
 };
 

@@ -23,27 +23,24 @@ std::string SoundnessCounterexample::toString(unsigned Width) const {
       static_cast<unsigned long long>(Z), R.toString(Width).c_str());
 }
 
-/// Checks every concrete pair drawn from (P, Q) against R; records the
-/// first violation into \p Report and returns false on violation.
-static bool checkAllMembers(BinaryOp Op, unsigned Width, const Tnum &P,
-                            const Tnum &Q, const Tnum &R,
-                            SoundnessReport &Report) {
-  bool Sound = true;
+std::optional<SoundnessCounterexample>
+tnums::scanPairScalar(BinaryOp Op, unsigned Width, const Tnum &P,
+                      const Tnum &Q, const Tnum &R,
+                      uint64_t &ConcreteChecked) {
+  std::optional<SoundnessCounterexample> Violation;
   forEachMember(P, [&](uint64_t X) {
-    if (!Sound)
+    if (Violation)
       return;
     forEachMember(Q, [&](uint64_t Y) {
-      if (!Sound)
+      if (Violation)
         return;
-      ++Report.ConcreteChecked;
+      ++ConcreteChecked;
       uint64_t Z = applyConcreteBinary(Op, X, Y, Width);
-      if (!R.contains(Z)) {
-        Report.Failure = SoundnessCounterexample{P, Q, X, Y, Z, R};
-        Sound = false;
-      }
+      if (!R.contains(Z))
+        Violation = SoundnessCounterexample{P, Q, X, Y, Z, R};
     });
   });
-  return Sound;
+  return Violation;
 }
 
 SoundnessReport tnums::checkSoundnessExhaustive(BinaryOp Op, unsigned Width,
@@ -54,21 +51,21 @@ SoundnessReport tnums::checkSoundnessExhaustive(BinaryOp Op, unsigned Width,
   SoundnessReport Report;
   std::vector<Tnum> Universe = allWellFormedTnums(Width);
   const bool Batched = simdModeBatches(Simd);
-  std::vector<uint64_t> Ys;
+  std::vector<MemberLane> XLanes, YLanes;
   for (const Tnum &P : Universe) {
+    MemberSpan Xs;
+    if (Batched)
+      Xs = materializeMembers(P, XLanes);
     for (const Tnum &Q : Universe) {
       ++Report.PairsChecked;
       Tnum R = applyAbstractBinary(Op, P, Q, Width, Mul);
-      if (Batched) {
-        materializeMembers(Q, Ys);
-        Report.Failure = scanPairMembersBatched(Op, Width, P, Q, R, Ys.data(),
-                                                Ys.size(),
-                                                Report.ConcreteChecked);
-        if (Report.Failure)
-          return Report;
-      } else if (!checkAllMembers(Op, Width, P, Q, R, Report)) {
+      Report.Failure =
+          Batched ? scanPairMembersBatched(Op, Width, P, Q, R, Xs,
+                                           materializeMembers(Q, YLanes),
+                                           Report.ConcreteChecked)
+                  : scanPairScalar(Op, Width, P, Q, R, Report.ConcreteChecked);
+      if (Report.Failure)
         return Report;
-      }
     }
   }
   return Report;

@@ -59,6 +59,14 @@ struct SoundnessReport {
   bool holds() const { return !Failure.has_value(); }
 };
 
+/// The scalar reference scan of one (P, Q) cell: every member pair in
+/// forEachMember order against R.contains, adding each evaluation up to and
+/// including the first violation to \p ConcreteChecked. Returns that
+/// serial-order-first counterexample, if any.
+std::optional<SoundnessCounterexample>
+scanPairScalar(BinaryOp Op, unsigned Width, const Tnum &P, const Tnum &Q,
+               const Tnum &R, uint64_t &ConcreteChecked);
+
 /// Complete bounded verification of \p Op at \p Width by enumerating every
 /// well-formed tnum pair and every concrete member pair. Cost is 16^Width
 /// concrete evaluations; keep Width <= 6 (Width <= 8 only if you can wait).

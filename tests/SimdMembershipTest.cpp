@@ -7,14 +7,15 @@
 ///
 /// \file
 /// Differential harness pinning the batched member-pair loops
-/// (verify/MemberLoops.h, over the batch enumeration of
+/// (verify/MemberLoops.h, over the padded member lists of
 /// tnum/TnumMembers.h) bit-for-bit to the scalar reference checkers. A
 /// vectorized hot path silently diverging from the reference is the
 /// failure mode this file exists to catch, so every assertion compares
 /// full reports -- witnesses AND exact work counters -- not just verdicts.
 ///
-/// Widths stay in 4..8; the width-8 exhaustive mul campaign is gated
-/// behind TNUMS_SLOW_TESTS=1 like ParallelSweepTest's.
+/// The loop differential runs widths 1, 4, 7 and 16; the sweeps stay in
+/// 4..8, and the width-8 exhaustive mul campaign is gated behind
+/// TNUMS_SLOW_TESTS=1 like ParallelSweepTest's.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +31,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <memory>
 #include <vector>
 
 using namespace tnums;
@@ -37,8 +39,8 @@ using namespace tnums;
 namespace {
 
 //===----------------------------------------------------------------------===//
-// Batch enumeration: TnumMembers must visit gamma(P) in forEachMember's
-// exact order, batch boundaries included.
+// Member lists: TnumMembers must hold gamma(P) in forEachMember's exact
+// order, padded to a whole vector with copies of the last member.
 //===----------------------------------------------------------------------===//
 
 std::vector<uint64_t> membersViaCallback(const Tnum &P) {
@@ -47,55 +49,77 @@ std::vector<uint64_t> membersViaCallback(const Tnum &P) {
   return Out;
 }
 
-std::vector<uint64_t> membersViaStream(const Tnum &P) {
-  std::vector<uint64_t> Out;
-  MemberStream Stream(P);
-  alignas(SimdBatchAlign) uint64_t Buf[SimdBatchLanes];
-  while (unsigned N = Stream.nextBatch(Buf))
-    Out.insert(Out.end(), Buf, Buf + N);
-  return Out;
+/// Expects \p List to be gamma(\p P) followed by its padding.
+void expectPaddedMembers(const Tnum &P, MemberSpan List) {
+  std::vector<uint64_t> Expected = membersViaCallback(P);
+  ASSERT_EQ(List.Count, Expected.size());
+  for (uint64_t I = 0; I != List.Count; ++I)
+    EXPECT_EQ(List.Lanes[I], Expected[I]) << "member " << I;
+  for (uint64_t I = List.Count; I != paddedMemberCount(List.Count); ++I)
+    EXPECT_EQ(List.Lanes[I], Expected.back()) << "padding lane " << I;
 }
 
 TEST(TnumMembers, MaterializeMatchesForEachMemberOnRandomTnums) {
   Xoshiro256 Rng(20220402);
-  std::vector<uint64_t> Materialized;
-  for (unsigned Width = 4; Width <= 8; ++Width) {
+  std::vector<MemberLane> Lanes;
+  for (unsigned Width : {4u, 5u, 6u, 7u, 8u, 16u}) {
     for (int I = 0; I != 200; ++I) {
       Tnum P = randomWellFormedTnum(Rng, Width);
-      materializeMembers(P, Materialized);
-      EXPECT_EQ(Materialized, membersViaCallback(P))
-          << "width " << Width << " P=" << P.toString(Width);
+      if (P.numUnknownBits() > 10)
+        continue;
+      MemberSpan List = materializeMembers(P, Lanes);
+      SCOPED_TRACE("width " + std::to_string(Width) + " P=" +
+                   P.toString(Width));
+      EXPECT_EQ(Lanes.size(), paddedMemberCount(List.Count));
+      expectPaddedMembers(P, List);
     }
   }
 }
 
-TEST(TnumMembers, StreamMatchesForEachMemberAcrossBatchBoundaries) {
-  // |gamma| = 2^popcount(mask): exercise < 64 (one short batch), == 64
-  // (exactly one full batch, empty tail), and > 64 (full batches then a
-  // boundary at 256).
-  for (const char *Text : {"0000", "u0u0", "uuuuu0", "uuuuuu", "uuuuuuuu"}) {
+TEST(TnumMembers, PaddedListsMatchForEachMemberAcrossVectorBoundaries) {
+  // |gamma| = 2^popcount(mask): 1, 2 and 4 members pad to one vector; 8
+  // fill it exactly; 16 and 256 span several.
+  for (const char *Text : {"0000", "000u", "u0u0", "uuu0", "uuuu",
+                           "uuuuuuuu", "1111111111111111", "uu11111111111u11"}) {
     Tnum P = *Tnum::parse(Text);
-    EXPECT_EQ(membersViaStream(P), membersViaCallback(P)) << Text;
+    std::vector<MemberLane> Lanes;
+    SCOPED_TRACE(Text);
+    expectPaddedMembers(P, materializeMembers(P, Lanes));
   }
 }
 
 TEST(TnumMembers, BottomAndConstantEdgeCases) {
-  std::vector<uint64_t> Materialized;
-  materializeMembers(Tnum::makeBottom(), Materialized);
-  EXPECT_TRUE(Materialized.empty());
-  EXPECT_TRUE(membersViaStream(Tnum::makeBottom()).empty());
+  std::vector<MemberLane> Lanes{1, 2, 3};
+  MemberSpan Bottom = materializeMembers(Tnum::makeBottom(), Lanes);
+  EXPECT_EQ(Bottom.Count, 0u);
+  EXPECT_TRUE(Lanes.empty());
 
-  materializeMembers(Tnum::makeConstant(42), Materialized);
-  EXPECT_EQ(Materialized, std::vector<uint64_t>{42});
+  MemberSpan Constant = materializeMembers(Tnum::makeConstant(42), Lanes);
+  EXPECT_EQ(Constant.Count, 1u);
+  EXPECT_EQ(Lanes, std::vector<MemberLane>(MemberVecLanes, 42));
+}
 
-  MemberStream Stream(Tnum::makeConstant(7));
-  EXPECT_FALSE(Stream.exhausted());
-  Stream.reset();
-  alignas(SimdBatchAlign) uint64_t Buf[SimdBatchLanes];
-  EXPECT_EQ(Stream.nextBatch(Buf), 1u);
-  EXPECT_EQ(Buf[0], 7u);
-  EXPECT_TRUE(Stream.exhausted());
-  EXPECT_EQ(Stream.nextBatch(Buf), 0u);
+TEST(TnumMembers, MemberTableHoldsEveryListAndItsExactSize) {
+  for (unsigned Width = 1; Width <= 6; ++Width) {
+    std::vector<Tnum> Universe = allWellFormedTnums(Width);
+    MemberTable Table(Universe);
+    uint64_t Bytes = 0;
+    std::vector<MemberLane> Lanes;
+    for (size_t I = 0; I != Universe.size(); ++I) {
+      SCOPED_TRACE(Universe[I].toString(Width));
+      MemberSpan Listed = Table.members(I);
+      MemberSpan Fresh = materializeMembers(Universe[I], Lanes);
+      ASSERT_EQ(Listed.Count, Fresh.Count);
+      EXPECT_TRUE(std::equal(Lanes.begin(), Lanes.end(), Listed.Lanes));
+      Bytes += paddedMemberCount(Listed.Count) * sizeof(MemberLane) +
+               sizeof(MemberTable::Entry);
+    }
+    EXPECT_EQ(memberTableBytes(Width), Bytes) << "width " << Width;
+  }
+  // The default SweepConfig::MemberTableBytesCap covers width 13, not 14.
+  const uint64_t Cap = SweepConfig().MemberTableBytesCap;
+  EXPECT_LE(memberTableBytes(13), Cap);
+  EXPECT_GT(memberTableBytes(14), Cap);
 }
 
 //===----------------------------------------------------------------------===//
@@ -116,88 +140,192 @@ TEST(SimdKernels, ModeParsingIsTotal) {
 
 //===----------------------------------------------------------------------===//
 // Loop differential: the scan and reduce loops against the scalar
-// reference, for every operator, every batch length, and widths on both
-// sides of the 32/64-bit multiply boundary.
+// reference over hand-built member lists, for every operator, list lengths
+// 1, 2 and 4 (padded to one vector) and 8 to 128, both batch sides, and a
+// failing pair planted at every (X, Y) position.
 //===----------------------------------------------------------------------===//
 
-/// Widths of the loop differential: a sweep width, both sides of the
-/// 32-bit lane multiply boundary, and the full word.
-constexpr unsigned LoopWidths[] = {4, 16, 17, 64};
+/// Widths of the loop differential: the narrowest, a sweep width, an odd
+/// width (no shifts), and the full 16-bit lane, where products wrap.
+constexpr unsigned LoopWidths[] = {1, 4, 7, 16};
+
+/// List lengths of the loop differential.
+std::vector<unsigned> loopLengths() {
+  std::vector<unsigned> Lengths = {1, 2, 4};
+  for (unsigned N = 8; N <= 128; ++N)
+    Lengths.push_back(N);
+  return Lengths;
+}
 
 /// Shift semantics are only defined at power-of-two widths.
 bool opRunsAtWidth(BinaryOp Op, unsigned Width) {
   return !isShiftOp(Op) || (Width & (Width - 1)) == 0;
 }
 
-/// The scan loop over one batch: scanPairMembersBatched with a constant
-/// P, so gamma(P) = {X} and \p Ys is the batch. Checks the serial-order
-/// first failing lane, its witness and the evaluation count against the
-/// scalar reference, and returns that lane (N when every lane is a
-/// member).
-unsigned expectScanMatchesScalar(BinaryOp Op, unsigned Width, uint64_t X,
-                                 const uint64_t *Ys, unsigned N,
+/// A member list built from arbitrary values, padded like TnumMembers'
+/// lists, in a heap block of exactly the padded length so that a sanitizer
+/// build catches any load past it.
+class PaddedList {
+public:
+  explicit PaddedList(const std::vector<uint64_t> &Values)
+      : Count(Values.size()),
+        Lanes(new MemberLane[paddedMemberCount(Values.size())]) {
+    for (uint64_t I = 0; I != paddedMemberCount(Count); ++I)
+      Lanes[I] = static_cast<MemberLane>(Values[std::min(I, Count - 1)]);
+  }
+  MemberSpan span() const { return {Lanes.get(), Count}; }
+
+private:
+  uint64_t Count;
+  std::unique_ptr<MemberLane[]> Lanes;
+};
+
+/// An operand of the differential: random, or at width 16 mostly within a
+/// small distance of 0xFFFF so that lane products and sums wrap.
+uint64_t loopOperand(Xoshiro256 &Rng, unsigned Width) {
+  if (Width == 16 && Rng.next() % 4 != 0)
+    return 0xFFFF - Rng.next() % 64;
+  return Rng.next() & lowBitsMask(Width);
+}
+
+std::vector<uint64_t> loopOperands(Xoshiro256 &Rng, unsigned Width,
+                                   unsigned N) {
+  std::vector<uint64_t> Out(N);
+  for (uint64_t &V : Out)
+    V = loopOperand(Rng, Width);
+  return Out;
+}
+
+/// Runs scanPairMembersBatched over (\p Xs, \p Ys) and checks the verdict,
+/// the witness and the evaluation count against the scalar scan of the
+/// same lists. Returns the serial index of the first failing pair
+/// (|Xs| * |Ys| when every pair is a member).
+uint64_t expectScanMatchesScalar(BinaryOp Op, unsigned Width,
+                                 const std::vector<uint64_t> &Xs,
+                                 const std::vector<uint64_t> &Ys,
                                  const Tnum &R) {
-  unsigned First = 0;
-  while (First != N && R.contains(applyConcreteBinary(Op, X, Ys[First], Width)))
+  const uint64_t Total = Xs.size() * Ys.size();
+  uint64_t First = 0;
+  while (First != Total &&
+         R.contains(applyConcreteBinary(Op, Xs[First / Ys.size()],
+                                        Ys[First % Ys.size()], Width)))
     ++First;
+  PaddedList XList(Xs), YList(Ys);
+  const Tnum P = Tnum::makeUnknown(Width), Q = Tnum::makeConstant(1);
   uint64_t Checked = 0;
-  std::optional<SoundnessCounterexample> Failure =
-      scanPairMembersBatched(Op, Width, Tnum::makeConstant(X),
-                             Tnum::makeUnknown(Width), R, Ys, N, Checked);
-  EXPECT_EQ(Failure.has_value(), First != N);
-  EXPECT_EQ(Checked, First == N ? N : First + 1);
-  if (Failure && First != N) {
+  std::optional<SoundnessCounterexample> Failure = scanPairMembersBatched(
+      Op, Width, P, Q, R, XList.span(), YList.span(), Checked);
+  EXPECT_EQ(Failure.has_value(), First != Total);
+  EXPECT_EQ(Checked, First == Total ? Total : First + 1);
+  if (Failure && First != Total) {
+    uint64_t X = Xs[First / Ys.size()], Y = Ys[First % Ys.size()];
+    EXPECT_EQ(Failure->P, P);
+    EXPECT_EQ(Failure->Q, Q);
     EXPECT_EQ(Failure->X, X);
-    EXPECT_EQ(Failure->Y, Ys[First]);
-    EXPECT_EQ(Failure->Z, applyConcreteBinary(Op, X, Ys[First], Width));
+    EXPECT_EQ(Failure->Y, Y);
+    EXPECT_EQ(Failure->Z, applyConcreteBinary(Op, X, Y, Width));
+    EXPECT_EQ(Failure->R, R);
   }
   return First;
 }
 
+/// Operands (X0, X1, Y0, Y1) and an R holding op(X0, Y0), op(X0, Y1) and
+/// op(X1, Y0) but not op(X1, Y1): lists of X0 with one X1 and of Y0 with
+/// one Y1 then fail at exactly one pair. None exist for xor, nor for add
+/// and sub at width 1: those are affine over the bits, and a tnum holding
+/// three corners of such a rectangle holds the fourth. The pair loop that
+/// positions are planted against is shared by every operator.
+struct PlantedFailure {
+  uint64_t X0, X1, Y0, Y1;
+  Tnum R;
+};
+
+std::optional<PlantedFailure> findPlantedFailure(Xoshiro256 &Rng,
+                                                 BinaryOp Op,
+                                                 unsigned Width) {
+  for (int Attempt = 0; Attempt != 4096; ++Attempt) {
+    PlantedFailure F{loopOperand(Rng, Width), loopOperand(Rng, Width),
+                     loopOperand(Rng, Width), loopOperand(Rng, Width),
+                     Tnum::makeBottom()};
+    for (auto [X, Y] : {std::pair{F.X0, F.Y0}, std::pair{F.X0, F.Y1},
+                        std::pair{F.X1, F.Y0}})
+      F.R = abstractInsert(F.R, applyConcreteBinary(Op, X, Y, Width));
+    if (!F.R.contains(applyConcreteBinary(Op, F.X1, F.Y1, Width)))
+      return F;
+  }
+  return std::nullopt;
+}
+
 TEST(MemberLoops, ScanMatchesScalarReference) {
   Xoshiro256 Rng(20221015);
-  uint64_t Ys[SimdBatchLanes];
+  const std::vector<unsigned> Lengths = loopLengths();
   for (unsigned Width : LoopWidths) {
-    const uint64_t WMask = lowBitsMask(Width);
     for (BinaryOp Op : AllBinaryOps) {
       if (!opRunsAtWidth(Op, Width))
         continue;
       SCOPED_TRACE(std::string(binaryOpName(Op)) + " width " +
                    std::to_string(Width));
-      for (unsigned N = 1; N <= SimdBatchLanes; ++N) {
+      // Random lists against alpha of their results (every pair a
+      // member), a random R, bottom, and an R whose value has a bit above
+      // the 16-bit lanes (both: no pair a member), with the batch on
+      // either side and both sides long.
+      for (unsigned N : Lengths) {
         SCOPED_TRACE("N=" + std::to_string(N));
-        // Random lanes against alpha of their results (every lane a
-        // member), a random R, and bottom (no lane a member).
-        for (int Trial = 0; Trial != 4; ++Trial) {
-          uint64_t X = Rng.next() & WMask;
+        for (auto [NX, NY] : {std::pair{1u, N}, std::pair{N, 1u},
+                              std::pair{3u, N}, std::pair{N, N % 17 + 1}}) {
+          std::vector<uint64_t> Xs = loopOperands(Rng, Width, NX);
+          std::vector<uint64_t> Ys = loopOperands(Rng, Width, NY);
           Tnum All = Tnum::makeBottom();
-          for (unsigned J = 0; J != N; ++J) {
-            Ys[J] = Rng.next() & WMask;
-            All = abstractInsert(All,
-                                 applyConcreteBinary(Op, X, Ys[J], Width));
-          }
-          EXPECT_EQ(expectScanMatchesScalar(Op, Width, X, Ys, N, All), N);
-          expectScanMatchesScalar(Op, Width, X, Ys, N,
+          for (uint64_t X : Xs)
+            for (uint64_t Y : Ys)
+              All = abstractInsert(All, applyConcreteBinary(Op, X, Y, Width));
+          EXPECT_EQ(expectScanMatchesScalar(Op, Width, Xs, Ys, All),
+                    uint64_t(NX) * NY);
+          expectScanMatchesScalar(Op, Width, Xs, Ys,
                                   randomWellFormedTnum(Rng, Width));
-          EXPECT_EQ(expectScanMatchesScalar(Op, Width, X, Ys, N,
+          EXPECT_EQ(expectScanMatchesScalar(Op, Width, Xs, Ys,
                                             Tnum::makeBottom()),
                     0u);
+          EXPECT_EQ(expectScanMatchesScalar(
+                        Op, Width, Xs, Ys,
+                        Tnum(uint64_t(1) << 16, lowBitsMask(Width))),
+                    0u);
         }
-        // One failing lane at each position K: every other lane evaluates
-        // to the constant R, lane K to something else.
-        for (unsigned K = 0; K != N; ++K) {
-          uint64_t X, Y0, Y1, Z0;
-          do {
-            X = Rng.next() & WMask;
-            Y0 = Rng.next() & WMask;
-            Y1 = Rng.next() & WMask;
-            Z0 = applyConcreteBinary(Op, X, Y0, Width);
-          } while (applyConcreteBinary(Op, X, Y1, Width) == Z0);
-          std::fill(Ys, Ys + N, Y0);
-          Ys[K] = Y1;
-          EXPECT_EQ(expectScanMatchesScalar(Op, Width, X, Ys, N,
-                                            Tnum::makeConstant(Z0)),
-                    K);
+      }
+      // One failing pair planted at each (X, Y) position: every position
+      // of short lists, and the first, the vector boundaries, the middle
+      // and the last real member (the one the padding repeats) of long
+      // ones.
+      std::optional<PlantedFailure> Plant =
+          findPlantedFailure(Rng, Op, Width);
+      if (!Plant) {
+        EXPECT_TRUE(Op == BinaryOp::Xor || Width == 1)
+            << "no single failing pair to plant";
+        continue;
+      }
+      auto Positions = [](unsigned N) {
+        std::vector<unsigned> Out;
+        for (unsigned K = 0; K != N; ++K)
+          if (N <= 17 || K == 0 || K == 7 || K == 8 || K == N / 2 ||
+              K + 1 == N)
+            Out.push_back(K);
+        return Out;
+      };
+      for (auto [NX, NY] :
+           {std::pair{1u, 1u}, std::pair{1u, 2u}, std::pair{2u, 4u},
+            std::pair{4u, 1u}, std::pair{3u, 8u}, std::pair{9u, 5u},
+            std::pair{17u, 16u}, std::pair{2u, 128u}, std::pair{128u, 3u},
+            std::pair{33u, 64u}}) {
+        for (unsigned I : Positions(NX)) {
+          for (unsigned J : Positions(NY)) {
+            std::vector<uint64_t> Xs(NX, Plant->X0), Ys(NY, Plant->Y0);
+            Xs[I] = Plant->X1;
+            Ys[J] = Plant->Y1;
+            EXPECT_EQ(expectScanMatchesScalar(Op, Width, Xs, Ys, Plant->R),
+                      uint64_t(I) * NY + J)
+                << NX << "x" << NY << " planted at (" << I << ", " << J
+                << ")";
+          }
         }
       }
     }
@@ -205,37 +333,33 @@ TEST(MemberLoops, ScanMatchesScalarReference) {
 }
 
 TEST(MemberLoops, ReduceMatchesScalarReferenceOnBothSides) {
-  // optimalAbstractBinaryMembers batches over the longer list, so a
-  // one-member gamma(P) puts the batch on the rhs and a one-member
-  // gamma(Q) puts it on the lhs.
+  // optimalAbstractBinaryMembers batches over the longer list, so a short
+  // Xs puts the batch on the rhs and a short Ys puts it on the lhs.
   Xoshiro256 Rng(20221016);
-  uint64_t Batch[SimdBatchLanes];
   for (unsigned Width : LoopWidths) {
-    const uint64_t WMask = lowBitsMask(Width);
     for (BinaryOp Op : AllBinaryOps) {
       if (!opRunsAtWidth(Op, Width))
         continue;
       SCOPED_TRACE(std::string(binaryOpName(Op)) + " width " +
                    std::to_string(Width));
-      for (unsigned N = 1; N <= SimdBatchLanes; ++N) {
-        for (int Trial = 0; Trial != 4; ++Trial) {
-          uint64_t Fixed = Rng.next() & WMask;
-          for (unsigned J = 0; J != N; ++J)
-            Batch[J] = Rng.next() & WMask;
+      for (unsigned N : loopLengths()) {
+        for (unsigned Short : {1u, 3u}) {
           for (bool BatchLhs : {false, true}) {
+            std::vector<uint64_t> Long = loopOperands(Rng, Width, N);
+            std::vector<uint64_t> Few = loopOperands(Rng, Width, Short);
+            const std::vector<uint64_t> &Xs = BatchLhs ? Long : Few;
+            const std::vector<uint64_t> &Ys = BatchLhs ? Few : Long;
             Tnum Expected = Tnum::makeBottom();
-            for (unsigned J = 0; J != N; ++J)
-              Expected = abstractInsert(
-                  Expected,
-                  BatchLhs ? applyConcreteBinary(Op, Batch[J], Fixed, Width)
-                           : applyConcreteBinary(Op, Fixed, Batch[J], Width));
-            Tnum Reduced =
-                BatchLhs ? optimalAbstractBinaryMembers(Op, Width, Batch, N,
-                                                        &Fixed, 1)
-                         : optimalAbstractBinaryMembers(Op, Width, &Fixed, 1,
-                                                        Batch, N);
-            ASSERT_EQ(Reduced, Expected)
-                << "N=" << N << (BatchLhs ? " batch lhs" : " batch rhs");
+            for (uint64_t X : Xs)
+              for (uint64_t Y : Ys)
+                Expected = abstractInsert(
+                    Expected, applyConcreteBinary(Op, X, Y, Width));
+            PaddedList XList(Xs), YList(Ys);
+            ASSERT_EQ(optimalAbstractBinaryMembers(Op, Width, XList.span(),
+                                                   YList.span()),
+                      Expected)
+                << "N=" << N << " short=" << Short
+                << (BatchLhs ? " batch lhs" : " batch rhs");
           }
         }
       }
@@ -279,7 +403,7 @@ ScalarScanResult scanPairScalar(BinaryOp Op, unsigned Width, const Tnum &P,
 
 TEST(BatchedPairScan, AgreesWithScalarScanOnRandomCells) {
   Xoshiro256 Rng(99);
-  std::vector<uint64_t> Ys;
+  std::vector<MemberLane> XLanes, YLanes;
   // Lane-parallel ops and one per-lane op (div).
   const BinaryOp Ops[] = {BinaryOp::Add, BinaryOp::Mul, BinaryOp::Xor,
                           BinaryOp::Div};
@@ -293,11 +417,11 @@ TEST(BatchedPairScan, AgreesWithScalarScanOnRandomCells) {
         R = Tnum::makeBottom();
       for (BinaryOp Op : Ops) {
         ScalarScanResult Reference = scanPairScalar(Op, Width, P, Q, R);
-        materializeMembers(Q, Ys);
         uint64_t Checked = 0;
         std::optional<SoundnessCounterexample> Failure =
-            scanPairMembersBatched(Op, Width, P, Q, R, Ys.data(), Ys.size(),
-                                   Checked);
+            scanPairMembersBatched(Op, Width, P, Q, R,
+                                   materializeMembers(P, XLanes),
+                                   materializeMembers(Q, YLanes), Checked);
         ASSERT_EQ(Reference.Failure.has_value(), Failure.has_value())
             << binaryOpName(Op) << " width " << Width;
         EXPECT_EQ(Reference.ConcreteChecked, Checked);
@@ -351,17 +475,16 @@ TEST(SimdSweep, SerialOptimalityBitIdenticalAcrossModesAtWidth4) {
 TEST(SimdSweep, BatchedOptimalAbstractionMatchesScalarFold) {
   // Every operator at the power-of-two sweep widths (so the shifts run).
   Xoshiro256 Rng(5);
-  std::vector<uint64_t> Xs, Ys;
+  std::vector<MemberLane> XLanes, YLanes;
   for (unsigned Width : {4u, 8u}) {
     for (int Trial = 0; Trial != 200; ++Trial) {
       Tnum P = randomWellFormedTnum(Rng, Width);
       Tnum Q = randomWellFormedTnum(Rng, Width);
-      materializeMembers(P, Xs);
-      materializeMembers(Q, Ys);
+      MemberSpan Xs = materializeMembers(P, XLanes);
+      MemberSpan Ys = materializeMembers(Q, YLanes);
       for (BinaryOp Op : AllBinaryOps) {
         Tnum Scalar = optimalAbstractBinary(Op, P, Q, Width);
-        Tnum Batched = optimalAbstractBinaryMembers(
-            Op, Width, Xs.data(), Xs.size(), Ys.data(), Ys.size());
+        Tnum Batched = optimalAbstractBinaryMembers(Op, Width, Xs, Ys);
         EXPECT_EQ(Scalar, Batched)
             << binaryOpName(Op) << " width " << Width << " P="
             << P.toString(Width) << " Q=" << Q.toString(Width);
@@ -376,21 +499,20 @@ TEST(SimdSweep, MemoizedOptimalAbstractionMatchesScalarFoldOnBothAxes) {
   // the batch-lhs reduce loop (the operand order matters for Sub and
   // Div).
   Xoshiro256 Rng(11);
-  std::vector<uint64_t> Xs, Ys;
+  std::vector<MemberLane> XLanes, YLanes;
   for (unsigned Width = 4; Width <= 8; ++Width) {
     for (int Trial = 0; Trial != 120; ++Trial) {
       Tnum P = randomWellFormedTnum(Rng, Width);
       Tnum Q = randomWellFormedTnum(Rng, Width);
-      materializeMembers(P, Xs);
-      materializeMembers(Q, Ys);
+      MemberSpan Xs = materializeMembers(P, XLanes);
+      MemberSpan Ys = materializeMembers(Q, YLanes);
       for (BinaryOp Op :
            {BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul, BinaryOp::Div}) {
         Tnum Scalar = optimalAbstractBinary(Op, P, Q, Width);
-        Tnum Memoized = optimalAbstractBinaryMembers(
-            Op, Width, Xs.data(), Xs.size(), Ys.data(), Ys.size());
+        Tnum Memoized = optimalAbstractBinaryMembers(Op, Width, Xs, Ys);
         EXPECT_EQ(Scalar, Memoized)
             << binaryOpName(Op) << " width " << Width
-            << " |gamma(P)|=" << Xs.size() << " |gamma(Q)|=" << Ys.size();
+            << " |gamma(P)|=" << Xs.Count << " |gamma(Q)|=" << Ys.Count;
       }
     }
   }
@@ -399,7 +521,7 @@ TEST(SimdSweep, MemoizedOptimalAbstractionMatchesScalarFoldOnBothAxes) {
 TEST(SimdSweep, FusedOptimalityBitIdenticalAcrossSchedulersAndModes) {
   // The fused evaluate-and-reduce loop must never change a report: cross
   // simd mode x three scheduler shapes against the serial scalar
-  // reference. Sub exercises the operand order; Mul the 32-bit lane
+  // reference. Sub exercises the operand order; Mul the 16-bit lane
   // multiply; Div the per-lane path.
   constexpr unsigned Width = 4;
   const SweepConfig Schedulers[] = {
